@@ -30,6 +30,7 @@ from .estimation import (
     weighted_period_mean,
 )
 from .model import (
+    AdjacencyGraph,
     BracketReport,
     ConfInterval,
     EffectEstimate,
@@ -43,7 +44,6 @@ from .model import (
     validate_design,
 )
 from .placebo import (
-    AdjacencyGraph,
     PlaceboResult,
     histogram_export,
     rank_effect,

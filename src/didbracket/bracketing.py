@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptyBracketError, LevelMismatchError
+from .diagnostics import pattern_test
+from .errors import EmptyBracketError, LevelMismatchError, MissingSEError
 from .estimation import (
     did_point,
     did_se,
@@ -98,8 +99,6 @@ def validate_ordering(
     lower = weighted_period_mean(panel, design.lower_controls, period)
     upper = weighted_period_mean(panel, design.upper_controls, period)
     if any(s.se is None for s in (treated, lower, upper)):
-        from .errors import MissingSEError
-
         raise MissingSEError("ordering validation needs SEs for all three groups")
 
     d_ut = upper.mean - treated.mean
@@ -138,6 +137,22 @@ def minmax_ci(ci_a: ConfInterval, ci_b: ConfInterval) -> ConfInterval:
     )
 
 
+def arm_cells(
+    panel: PanelDataset, treated: str, controls, before: PeriodRange, after: PeriodRange
+) -> tuple:
+    """The four DiD cells of one arm: (t_before, t_after, c_before, c_after).
+
+    The one place both :func:`arm_estimate` and the placebo engine get
+    their cells from, so a placebo point equals the analysis point exactly.
+    """
+    return (
+        weighted_period_mean(panel, {treated}, before),
+        weighted_period_mean(panel, {treated}, after),
+        weighted_period_mean(panel, controls, before),
+        weighted_period_mean(panel, controls, after),
+    )
+
+
 def arm_estimate(
     panel: PanelDataset,
     treated: str,
@@ -147,10 +162,7 @@ def arm_estimate(
     alpha: float,
 ) -> EffectEstimate:
     """DiD estimate of one arm, with Wald CI and percent-change companion."""
-    t_before = weighted_period_mean(panel, {treated}, before)
-    t_after = weighted_period_mean(panel, {treated}, after)
-    c_before = weighted_period_mean(panel, controls, before)
-    c_after = weighted_period_mean(panel, controls, after)
+    t_before, t_after, c_before, c_after = arm_cells(panel, treated, controls, before, after)
     point = did_point(t_before, t_after, c_before, c_after)
     se = did_se(t_before, t_after, c_before, c_after)
     ci = wald_ci(point, se, alpha)
@@ -193,8 +205,6 @@ def full_analysis(
         )
     diagnostics = None
     if split_year is not None:
-        from .diagnostics import pattern_test
-
         diagnostics = tuple(
             pattern_test(panel, design, split_year, pattern, alpha)
             for pattern in ("iii", "iv")

@@ -9,6 +9,7 @@ line ``Class: message`` on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -214,6 +215,8 @@ def cmd_placebo(args) -> int:
     for key in ("prestudy", "before", "after"):
         if getattr(cfg, key) is None:
             raise ConfigError(f"missing required config key {key!r}")
+    if not (math.isfinite(cfg.bin_width) and cfg.bin_width > 0):
+        raise ConfigError(f"bin_width must be finite and positive, got {cfg.bin_width}")
     panel = _load_panel(cfg)
     adjacency = _load_adjacency(cfg)
     results = run_placebo_study(

@@ -138,22 +138,31 @@ def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> Per
 
     Weights are person-years: each unit-year contributes its population.
     The summary SE combines record SEs in quadrature (present only when all
-    records carry one). Missing unit-years raise MissingDataError.
+    records carry one). Missing unit-years raise MissingDataError, listing
+    every missing (unit, year) pair.
+
+    The summation order is part of the output contract: records are added
+    left to right, units in sorted order and years ascending within each
+    unit. Floating-point addition is not associative, so any other order
+    (a prefix-sum view, a vectorised reduction) changes output bytes and
+    breaks the exact placebo-versus-analysis equality.
     """
     units = sorted(group)
     if not units:
         raise EmptyGroupError("cannot summarize an empty group")
-    missing = [(u, y) for u in units for y in period.years() if not panel.has(u, y)]
-    if missing:
-        raise MissingDataError(missing)
-
+    years = tuple(period.years())
+    missing = []
     total_weight = 0.0
     weighted_sum = 0.0
     var_sum = 0.0
     all_se = True
     for unit in units:
-        for year in period.years():
-            rec = panel.get(unit, year)
+        row = panel.row(unit)
+        for year in years:
+            rec = row.get(year)
+            if rec is None:
+                missing.append((unit, year))
+                continue
             w = float(rec.population)
             total_weight += w
             weighted_sum += w * rec.rate
@@ -161,6 +170,8 @@ def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> Per
                 all_se = False
             elif all_se:
                 var_sum += (w * rec.se) ** 2
+    if missing:
+        raise MissingDataError(missing)
     mean = weighted_sum / total_weight
     se = math.sqrt(var_sum) / total_weight if all_se else None
     return PeriodSummary(mean=mean, se=se, total_weight=total_weight)

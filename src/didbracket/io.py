@@ -19,9 +19,18 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, DataError, InvariantError, ParseError, SchemaError
+from .bracketing import construct_control_groups
+from .errors import (
+    ConfigError,
+    DataError,
+    InvalidScenarioError,
+    InvariantError,
+    ParseError,
+    SchemaError,
+)
 from .estimation import poisson_rate_se
 from .model import (
+    AdjacencyGraph,
     BracketReport,
     ConfInterval,
     PanelDataset,
@@ -29,7 +38,7 @@ from .model import (
     PeriodRange,
     StudyDesign,
 )
-from .placebo import AdjacencyGraph
+from .simulation import ConfounderSpec, DriftSpec, Scenario
 
 PANEL_REQUIRED = ("unit", "year", "rate", "population")
 PANEL_OPTIONAL = ("se", "deaths")
@@ -319,8 +328,6 @@ def resolve_design(cfg: AnalysisConfig, panel: PanelDataset,
             candidates = adjacency.neighbors(cfg.treated) & panel.units
         else:
             candidates = frozenset(cfg.candidates)
-        from .bracketing import construct_control_groups
-
         groups = construct_control_groups(panel, cfg.treated, candidates, cfg.prestudy)
         lower, upper = groups.lower, groups.upper
     return StudyDesign(
@@ -349,9 +356,6 @@ def scenario_from_values(values: dict):
     Optional: confounder_sd, tau_shift, gamma, noise_sd, n_per_cell, and the
     drift_* block (all four drift keys together).
     """
-    from .errors import InvalidScenarioError
-    from .simulation import ConfounderSpec, DriftSpec, Scenario
-
     unknown = set(values) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")

@@ -1,4 +1,4 @@
-"""Core domain types: panel data, study designs, summaries, and reports.
+"""Core domain types: panel data, adjacency, study designs, summaries, and reports.
 
 Everything here is an immutable value object; all operations are pure, so
 instances are safe to share across threads.
@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .errors import DataError, InvariantError
 
@@ -38,21 +39,33 @@ class PanelRecord:
 
 
 class PanelDataset:
-    """Immutable collection of unit-year records with unique (unit, year) keys."""
+    """Immutable collection of unit-year records with unique (unit, year) keys.
+
+    Records are indexed by unit, then by year, so a group summary fetches
+    each unit's row once and reads its years from it.
+    """
 
     __slots__ = ("_records", "_index", "_units")
 
     def __init__(self, records):
         recs = tuple(records)
-        index = {}
+        rows = {}
         for r in recs:
-            key = (r.unit_id, r.year)
-            if key in index:
+            row = rows.get(r.unit_id)
+            if row is None:
+                row = rows[r.unit_id] = {}
+            elif r.year in row:
                 raise DataError(f"duplicate record for {r.unit_id} {r.year}")
-            index[key] = r
+            row[r.year] = r
         object.__setattr__(self, "_records", recs)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_units", frozenset(r.unit_id for r in recs))
+        object.__setattr__(
+            self, "_index", {unit: MappingProxyType(row) for unit, row in rows.items()}
+        )
+        object.__setattr__(self, "_units", frozenset(rows))
+
+    def __reduce__(self):
+        # The read-only rows cannot be pickled; rebuild them from the records.
+        return (PanelDataset, (self._records,))
 
     @property
     def records(self) -> tuple:
@@ -66,19 +79,66 @@ class PanelDataset:
         return len(self._records)
 
     def __contains__(self, key) -> bool:
-        return key in self._index
+        return isinstance(key, tuple) and len(key) == 2 and self.has(*key)
+
+    def row(self, unit_id: str) -> Mapping:
+        """Read-only ``{year: record}`` map of one unit; empty for an unknown unit."""
+        return self._index.get(unit_id, _EMPTY_ROW)
 
     def get(self, unit_id: str, year: int) -> PanelRecord:
         try:
-            return self._index[(unit_id, year)]
+            return self._index[unit_id][year]
         except KeyError:
             raise DataError(f"no record for {unit_id} {year}") from None
 
     def has(self, unit_id: str, year: int) -> bool:
-        return (unit_id, year) in self._index
+        return year in self._index.get(unit_id, _EMPTY_ROW)
 
-    def years(self, unit_id: str):
-        return sorted(r.year for r in self._records if r.unit_id == unit_id)
+
+_EMPTY_ROW = MappingProxyType({})
+
+
+@dataclass(frozen=True)
+class AdjacencyGraph:
+    """Undirected unit adjacency; edges are canonical sorted pairs.
+
+    The ``unit -> neighbours`` map is built once from the edges, so a lookup
+    is one dict access, not a scan of every edge. It takes no part in
+    equality, hashing or the repr, which depend on ``edges`` alone.
+    """
+
+    edges: frozenset
+    _neighbors: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        adjacent = {}
+        for a, b in self.edges:
+            if a in adjacent:
+                adjacent[a].append(b)
+            else:
+                adjacent[a] = [b]
+            if b in adjacent:
+                adjacent[b].append(a)
+            else:
+                adjacent[b] = [a]
+        object.__setattr__(
+            self, "_neighbors", {unit: frozenset(nbrs) for unit, nbrs in adjacent.items()}
+        )
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "AdjacencyGraph":
+        edges = set()
+        for a, b in pairs:
+            if a == b:
+                raise DataError(f"self-edge on {a!r}")
+            edges.add((a, b) if a < b else (b, a))
+        return cls(edges=frozenset(edges))
+
+    def neighbors(self, unit: str) -> frozenset:
+        return self._neighbors.get(unit, frozenset())
+
+    def units(self) -> frozenset:
+        return frozenset(self._neighbors)
 
 
 @dataclass(frozen=True, order=True)

@@ -5,6 +5,11 @@ neighbors as candidates, classified against the same pre-study window.
 The resulting point estimates form reference distributions (one per arm)
 against which the genuinely treated unit's estimates are ranked. Standard
 errors are not required: this is permutation-style inference on points.
+
+A study costs O(units x degree): each unit's candidates are one lookup in
+the adjacency's neighbour map, and each group summary reads one row per
+unit. ``AdjacencyGraph`` lives in :mod:`didbracket.model` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bracketing import classify_candidates
+from .bracketing import arm_cells, classify_candidates
 from .errors import ArmUnavailableError, DataError, MissingDataError, OutOfDomainError
-from .estimation import did_point, weighted_period_mean
-from .model import PanelDataset, PeriodRange
+from .estimation import did_point
+from .model import AdjacencyGraph, PanelDataset, PeriodRange
 
 ARMS = ("lc", "uc")
 
@@ -24,30 +29,6 @@ EXCLUDED_NO_LOWER = "NoLowerNeighbors"
 EXCLUDED_NO_UPPER = "NoUpperNeighbors"
 EXCLUDED_MISSING = "MissingData"
 EXCLUDED_EXPLICIT = "ExplicitExclusion"
-
-
-@dataclass(frozen=True)
-class AdjacencyGraph:
-    """Undirected unit adjacency; edges are canonical sorted pairs."""
-
-    edges: frozenset
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "AdjacencyGraph":
-        edges = set()
-        for a, b in pairs:
-            if a == b:
-                raise DataError(f"self-edge on {a!r}")
-            edges.add((a, b) if a < b else (b, a))
-        return cls(edges=frozenset(edges))
-
-    def neighbors(self, unit: str) -> frozenset:
-        return frozenset(
-            b if a == unit else a for a, b in self.edges if unit in (a, b)
-        )
-
-    def units(self) -> frozenset:
-        return frozenset(u for edge in self.edges for u in edge)
 
 
 @dataclass(frozen=True)
@@ -68,15 +49,6 @@ class PlaceboResult:
         if arm not in ARMS:
             raise OutOfDomainError(f"arm must be one of {ARMS}, got {arm!r}")
         return self.effect_lc if arm == "lc" else self.effect_uc
-
-
-def _arm_point(panel, treated, controls, before, after) -> float:
-    return did_point(
-        weighted_period_mean(panel, {treated}, before),
-        weighted_period_mean(panel, {treated}, after),
-        weighted_period_mean(panel, controls, before),
-        weighted_period_mean(panel, controls, after),
-    )
 
 
 def run_placebo_study(
@@ -104,12 +76,12 @@ def run_placebo_study(
         try:
             groups = classify_candidates(panel, unit, candidates, prestudy)
             effect_lc = (
-                _arm_point(panel, unit, groups.lower, before, after)
+                did_point(*arm_cells(panel, unit, groups.lower, before, after))
                 if groups.lower
                 else None
             )
             effect_uc = (
-                _arm_point(panel, unit, groups.upper, before, after)
+                did_point(*arm_cells(panel, unit, groups.upper, before, after))
                 if groups.upper
                 else None
             )
@@ -159,8 +131,8 @@ class HistBin:
 
 def histogram_export(results, arm: str, bin_width: float) -> tuple:
     """Left-closed right-open bins anchored at 0, covering the arm's values."""
-    if not bin_width > 0:
-        raise OutOfDomainError(f"bin_width must be positive, got {bin_width}")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise OutOfDomainError(f"bin_width must be finite and positive, got {bin_width}")
     values = sorted(r.arm(arm) for r in results if r.arm(arm) is not None)
     if not values:
         return ()

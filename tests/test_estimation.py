@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -26,7 +27,13 @@ from didbracket.estimation import (
     wald_ci,
     weighted_period_mean,
 )
-from didbracket.model import ConfInterval, PeriodRange, PeriodSummary
+from didbracket.model import (
+    ConfInterval,
+    PanelDataset,
+    PanelRecord,
+    PeriodRange,
+    PeriodSummary,
+)
 
 from conftest import make_panel
 
@@ -140,6 +147,73 @@ def test_weighted_mean_equal_weights_is_unweighted(rates):
         panel, {f"u{i}" for i in range(len(rates))}, PeriodRange(2000, 2000)
     )
     assert summary.mean == pytest.approx(sum(rates) / len(rates), abs=1e-9)
+
+
+def _reference_weighted_period_mean(records, group, period):
+    """The original two-pass loop over a (unit, year) index, kept as an oracle."""
+    index = {(r.unit_id, r.year): r for r in records}
+    units = sorted(group)
+    missing = [(u, y) for u in units for y in period.years() if (u, y) not in index]
+    if missing:
+        raise MissingDataError(missing)
+    total_weight = 0.0
+    weighted_sum = 0.0
+    var_sum = 0.0
+    all_se = True
+    for unit in units:
+        for year in period.years():
+            rec = index[(unit, year)]
+            w = float(rec.population)
+            total_weight += w
+            weighted_sum += w * rec.rate
+            if rec.se is None:
+                all_se = False
+            elif all_se:
+                var_sum += (w * rec.se) ** 2
+    mean = weighted_sum / total_weight
+    se = math.sqrt(var_sum) / total_weight if all_se else None
+    return PeriodSummary(mean=mean, se=se, total_weight=total_weight)
+
+
+ORACLE_UNITS = ("u0", "u1", "u2", "u3", "u4")
+ORACLE_YEARS = range(2000, 2006)
+
+
+@settings(max_examples=300)
+@given(
+    cells=st.lists(st.sampled_from(("se", "se", "se", "no_se", "gap")), min_size=30,
+                   max_size=30),
+    group=st.sets(st.sampled_from(ORACLE_UNITS + ("zz",)), min_size=1),
+    start=st.integers(1999, 2005),
+    length=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_mean_matches_reference_loop(cells, group, start, length, seed):
+    # Hypothesis draws the layout (gaps, missing SEs, group, period); the
+    # values come from a seeded generator, so that sums depend on their order.
+    rng = random.Random(seed)
+    keys = [(u, y) for u in ORACLE_UNITS for y in ORACLE_YEARS]
+    records = [
+        PanelRecord(u, y, rng.uniform(0, 60), rng.randint(1, 40_000_000),
+                    se=rng.uniform(0, 5) if kind == "se" else None)
+        for (u, y), kind in zip(keys, cells)
+        if kind != "gap"
+    ]
+    rng.shuffle(records)  # input order must not matter
+    period = PeriodRange(start, start + length)
+    try:
+        expected = _reference_weighted_period_mean(records, group, period)
+    except MissingDataError as exc:
+        with pytest.raises(MissingDataError) as err:
+            weighted_period_mean(PanelDataset(records), group, period)
+        assert err.value.missing == exc.missing
+        assert str(err.value) == str(exc)
+        return
+    got = weighted_period_mean(PanelDataset(records), group, period)
+    # Exact equality: the summation order is part of the output.
+    assert got.mean == expected.mean
+    assert got.se == expected.se
+    assert got.total_weight == expected.total_weight
 
 
 # --- poisson rate SE ---------------------------------------------------------

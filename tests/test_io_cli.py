@@ -35,7 +35,8 @@ def test_bundled_panel_shape(bundled_panel):
     assert len(bundled_panel.units) == 9
     assert len(bundled_panel) == 9 * 23
     for unit in bundled_panel.units:
-        assert bundled_panel.years(unit) == list(range(1994, 2017))
+        years = sorted(r.year for r in bundled_panel.records if r.unit_id == unit)
+        assert years == list(range(1994, 2017))
 
 
 def test_header_only_panel_is_empty(tmp_path):
@@ -363,6 +364,19 @@ def test_diagnose_without_split_exits_2(tmp_path):
          "--out-dir", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+def test_placebo_bad_bin_width_exits_2_before_any_output(tmp_path, capsys, width):
+    out = tmp_path / "out"
+    code = run_cli(
+        ["placebo", "--config", str(PAPER_CONFIG), f"--bin-width={width}",
+         "--adjacency", str(tmp_path / "not_read.csv"), "--out-dir", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Config: bin_width") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_invalid_design_data_exits_3(tmp_path, capsys):

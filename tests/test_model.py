@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from didbracket.errors import DataError, InvariantError
 from didbracket.model import (
+    AdjacencyGraph,
     ConfInterval,
     PanelDataset,
     PanelRecord,
@@ -15,9 +18,97 @@ from didbracket.model import (
 )
 
 
+UNIT_NAMES = ("a", "b", "c", "d", "e", "f")
+QUERY_UNITS = UNIT_NAMES + ("zz",)  # "zz" never appears in an edge or a record
+
+
+def _scan_neighbors(edges, unit):
+    """Brute-force oracle: scan every edge."""
+    return frozenset(b if a == unit else a for a, b in edges if unit in (a, b))
+
+
+pairs_strategy = st.lists(
+    st.tuples(st.sampled_from(UNIT_NAMES), st.sampled_from(UNIT_NAMES)).filter(
+        lambda p: p[0] != p[1]
+    ),
+    max_size=15,
+)
+
+
+@given(pairs=pairs_strategy)
+def test_neighbors_match_edge_scan(pairs):
+    # from_pairs stores canonical edges; direct construction indexes the
+    # edges it is given, in either orientation.
+    for graph in (AdjacencyGraph.from_pairs(pairs), AdjacencyGraph(edges=frozenset(pairs))):
+        for unit in QUERY_UNITS:  # includes isolated and unknown units
+            assert graph.neighbors(unit) == _scan_neighbors(graph.edges, unit)
+        assert graph.units() == frozenset(u for edge in graph.edges for u in edge)
+
+
+@given(pairs=pairs_strategy)
+def test_neighbor_map_is_not_part_of_the_value(pairs):
+    graph = AdjacencyGraph.from_pairs(pairs)
+    direct = AdjacencyGraph(edges=graph.edges)
+    assert direct == graph
+    assert hash(direct) == hash(graph)
+    assert repr(graph) == f"AdjacencyGraph(edges={graph.edges!r})"
+    assert graph != AdjacencyGraph.from_pairs(pairs + [("zz", "zy")])
+
+
+@given(
+    cells=st.sets(
+        st.tuples(st.sampled_from(UNIT_NAMES[:4]), st.integers(2000, 2004)), max_size=20
+    )
+)
+def test_panel_lookups_match_tuple_index(cells):
+    records = [PanelRecord(u, y, 1.0, 100) for u, y in sorted(cells)]
+    random.Random(len(cells)).shuffle(records)
+    panel = PanelDataset(records)
+    by_key = {(r.unit_id, r.year): r for r in records}
+    for unit in QUERY_UNITS:
+        row = panel.row(unit)
+        assert dict(row) == {y: r for (u, y), r in by_key.items() if u == unit}
+        for year in range(1999, 2006):
+            key = (unit, year)
+            assert panel.has(unit, year) == (key in by_key) == (key in panel)
+            if key in by_key:
+                assert panel.get(unit, year) is by_key[key]
+            else:
+                with pytest.raises(DataError, match=f"no record for {unit} {year}"):
+                    panel.get(unit, year)
+    assert panel.units == frozenset(u for u, _ in cells)
+    assert "a" not in panel and ("a", 2000, 1) not in panel
+
+
+def test_panel_row_is_read_only():
+    panel = PanelDataset([PanelRecord("a", 2000, 1.0, 100)])
+    with pytest.raises(TypeError):
+        panel.row("a")[2001] = PanelRecord("a", 2001, 1.0, 100)
+
+
+def test_panel_and_graph_survive_pickle_and_deepcopy():
+    panel = PanelDataset([PanelRecord("a", 2000, 1.0, 100), PanelRecord("b", 2001, 2.0, 50)])
+    graph = AdjacencyGraph.from_pairs([("a", "b"), ("b", "c")])
+    for clone in (pickle.loads(pickle.dumps((panel, graph))), copy.deepcopy((panel, graph))):
+        panel2, graph2 = clone
+        assert panel2.records == panel.records
+        assert panel2.get("b", 2001) == panel.get("b", 2001)
+        assert ("a", 2000) in panel2 and panel2.units == panel.units
+        assert graph2 == graph and graph2.neighbors("b") == frozenset({"a", "c"})
+
+
+def test_adjacency_graph_resolves_from_every_module():
+    import didbracket
+    import didbracket.model
+    import didbracket.placebo
+
+    assert didbracket.placebo.AdjacencyGraph is didbracket.model.AdjacencyGraph
+    assert didbracket.AdjacencyGraph is didbracket.model.AdjacencyGraph
+
+
 def test_panel_rejects_duplicates():
     rec = PanelRecord("a", 2000, 1.0, 100)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="duplicate record for a 2000"):
         PanelDataset([rec, rec])
 
 

@@ -160,8 +160,9 @@ def test_histogram_hand_binned():
 
 def test_histogram_empty_and_bad_width():
     assert histogram_export([], "lc", 0.5) == ()
-    with pytest.raises(OutOfDomainError):
-        histogram_export(_results([1.0]), "lc", 0.0)
+    for width in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(OutOfDomainError):
+            histogram_export(_results([1.0]), "lc", width)
 
 
 def test_histogram_spans_negative_values_anchored_at_zero():
