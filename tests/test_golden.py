@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of every file the placebo and analyze commands write.
+"""Golden outputs: the sha256 of every file each command writes, and of its stdout.
 
 Floating-point summation order is part of the output, so these digests pin
 the exact arithmetic of the group-period summaries, the neighbour lookup and
@@ -8,6 +8,8 @@ the serializers. A change that alters any output byte fails here.
 import hashlib
 import random
 from pathlib import Path
+
+import pytest
 
 from didbracket import cli
 
@@ -57,6 +59,75 @@ RING_PLACEBO = {
 
 RING_UNITS = 60
 RING_K = 3
+
+
+# The remaining commands and output formats, with the sha256 of stdout under
+# the key "<stdout>". Small --reps keep the Monte Carlo cases fast; coverage
+# runs at alpha 0.5 so that its coverage is below 1.
+OTHER_COMMANDS = {
+    "diagnose_plots": (
+        ["diagnose", "--config", str(PAPER_CONFIG), "--emit-plots"],
+        {
+            "<stdout>":
+                "3a861758ff5f5f81c476b89825e79782166f97a77d18efee6f6be2b5c8da8535",
+            "pattern_tests.json":
+                "ca781070bb87922cb1400522287f0cc63465dabf4b9c0623a6b874086f525759",
+            "relative_trends.csv":
+                "a9706b79a17ec411646f6b95a48f6cddac48015d580e3c01ec1a06138c83b9c3",
+            "relative_trends.svg":
+                "1652f0c7fd634c8e102cc56c8a1c8f4b7fa23d3e9f6080fe9d06b5bc2b64def4",
+        },
+    ),
+    "analyze_csv": (
+        ["analyze", "--config", str(PAPER_CONFIG), "--format", "csv"],
+        {
+            "<stdout>":
+                "b5156a075f9fd46da1e13e69c77972c16c152f9e2e6c4fc98f9988408eb23b00",
+            "bracket_report.json":
+                "8e4d7f332feed54cc1acaa9f10c0ab897d02de005cd82aba2e342d98aa4c76c8",
+            "bracket_table.csv":
+                "1f8b0b02620edc378bb7695a4d5ef31d3f44bf22aa05e5d2ed067b09a1ff8cbe",
+            "summary.txt":
+                "b5156a075f9fd46da1e13e69c77972c16c152f9e2e6c4fc98f9988408eb23b00",
+        },
+    ),
+    "simulate_bracket_csv": (
+        ["simulate", "--mode", "bracket", "--scenario", "linear_interaction",
+         "--reps", "200", "--seed", "7", "--format", "csv"],
+        {
+            "<stdout>":
+                "5ea36f59d06336f44a0250c0ee4aee1fd542c4d9b3e855870a00f1ee4889d181",
+            "mc_report.csv":
+                "1da82580224b79aa3eff62a71bfe3fb0e0fca52340baa5bdabb3643d57425613",
+            "mc_report.json":
+                "9a6d8fa9624dfa4c5dec001231b7328de1bd47b0037403bbf7e105c547734552",
+        },
+    ),
+    "simulate_coverage_csv": (
+        ["simulate", "--mode", "coverage", "--scenario", "additive", "--reps", "200",
+         "--seed", "7", "--alpha", "0.5", "--format", "csv"],
+        {
+            "<stdout>":
+                "fe17b0fcacf1589c6f98b7d6e810a1d40bd530098a8414939dea802909fd3203",
+            "mc_report.csv":
+                "4ee0211712cfdb4bf9771f206c16fda73c4aea86e5d390fbd845b55666757f8e",
+            "mc_report.json":
+                "4f023e6d8dd6f0d963a8f6ec718c4e8f9dab50780892c815ccaab5d4ccdc29b5",
+        },
+    ),
+    "simulate_synthetic_csv": (
+        ["simulate", "--mode", "synthetic_control", "--tau", "0.35", "--reps", "2000",
+         "--seed", "7", "--format", "csv"],
+        {
+            "<stdout>":
+                "6b00d1aa9131b2a1bafd975404be4c7928d2d5791238927a04f4d2099d3b462b",
+            "mc_report.csv":
+                "995ca6429ef356c538f73edbd2024fb3afcce524da37310e08a4b4b541e1007d",
+            "mc_report.json":
+                "5432c9b45c37b7cb180a73ed5514a44cba99c23fa78661b7367857c5931b0261",
+        },
+    ),
+}
 
 
 def _digests(out: Path) -> dict:
@@ -120,3 +191,13 @@ def test_ring_placebo_bytes(tmp_path):
             "--out-dir", str(out)]
     assert cli.main(argv) == 0
     assert _digests(out) == RING_PLACEBO
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_COMMANDS))
+def test_command_bytes(tmp_path, capsys, name):
+    argv, expected = OTHER_COMMANDS[name]
+    out = tmp_path / name
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    got = {"<stdout>": hashlib.sha256(stdout.encode("utf-8")).hexdigest(), **_digests(out)}
+    assert got == expected
