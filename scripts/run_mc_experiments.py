@@ -14,7 +14,6 @@ from didbracket.simulation import (
     coverage_experiment,
     shipped_scenarios,
     synthetic_control_comparison,
-    time_varying_scenario_check,
     verify_bracketing,
 )
 
@@ -29,8 +28,7 @@ def main():
 
     print(f"{'scenario':<24} {'mean lc':>9} {'mean uc':>9} {'holds':>6} {'coverage':>9}")
     for name, scenario in sorted(shipped_scenarios().items()):
-        runner = time_varying_scenario_check if scenario.drift else verify_bracketing
-        report = runner(scenario, args.reps, args.seed)
+        report = verify_bracketing(scenario, args.reps, args.seed)
         cov = coverage_experiment(scenario, args.coverage_reps, args.alpha, args.seed)
         flag = " " + ",".join(report.flags) if report.flags else ""
         print(

@@ -17,7 +17,6 @@ from .bracketing import (
 )
 from .diagnostics import gap_change_test, pattern_test, relative_trends_table
 from .estimation import (
-    NormalTail,
     did_point,
     did_se,
     normal_cdf,
@@ -55,7 +54,6 @@ from .simulation import (
     coverage_experiment,
     generate_panel,
     synthetic_control_comparison,
-    time_varying_scenario_check,
     verify_bracketing,
 )
 

@@ -8,7 +8,6 @@ pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     EmptyGroupError,
@@ -119,20 +118,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class NormalTail:
-    """Two-sided tail setup: alpha and the matching upper 1 - alpha/2 quantile."""
-
-    alpha: float
-    z: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "NormalTail":
-        if not 0.0 < alpha < 1.0:
-            raise OutOfDomainError(f"alpha must be in (0, 1), got {alpha}")
-        return cls(alpha=alpha, z=normal_quantile(1.0 - alpha / 2.0))
-
-
 def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> PeriodSummary:
     """Population-weighted mean rate for ``group`` over ``period``.
 
@@ -220,7 +205,9 @@ def wald_ci(point: float, se: float, alpha: float) -> ConfInterval:
     """Two-sided normal interval, the intersection of two one-sided 1 - alpha/2 intervals."""
     if se < 0:
         raise OutOfDomainError("se must be >= 0")
-    z = NormalTail.from_alpha(alpha).z
+    if not 0.0 < alpha < 1.0:
+        raise OutOfDomainError(f"alpha must be in (0, 1), got {alpha}")
+    z = normal_quantile(1.0 - alpha / 2.0)
     return ConfInterval(point - z * se, point + z * se, level=1.0 - alpha)
 
 

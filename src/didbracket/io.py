@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -62,8 +62,6 @@ def _parse_float(text: str, path, line_no: int, column: str) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(path, line_no, f"column {column!r}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(path, line_no, f"column {column!r}: non-finite value")
     return value
 
 
@@ -80,7 +78,7 @@ def parse_panel_csv(path) -> PanelDataset:
     Header required; columns must be unit,year,rate,population plus
     optionally se and deaths. Rows carrying deaths but no se get the
     Poisson-model se derived for them. Any malformed row aborts with its
-    line number.
+    line number; the value ranges are PanelRecord's own checks.
     """
     path = Path(path)
     if not path.exists():
@@ -106,34 +104,26 @@ def parse_panel_csv(path) -> PanelDataset:
                 continue
             if len(row) != len(cols):
                 raise ParseError(path, line_no, f"expected {len(cols)} fields, got {len(row)}")
-            unit = row[idx["unit"]].strip()
-            if not unit:
-                raise ParseError(path, line_no, "empty unit id")
             year = _parse_int(row[idx["year"]], path, line_no, "year")
             rate = _parse_float(row[idx["rate"]], path, line_no, "rate")
-            if rate < 0:
-                raise ParseError(path, line_no, f"negative rate {rate}")
             population = _parse_int(row[idx["population"]], path, line_no, "population")
-            if population <= 0:
-                raise ParseError(path, line_no, f"nonpositive population {population}")
             se = None
             if "se" in idx and row[idx["se"]].strip():
                 se = _parse_float(row[idx["se"]], path, line_no, "se")
-                if se < 0:
-                    raise ParseError(path, line_no, f"negative se {se}")
             deaths = None
             if "deaths" in idx and row[idx["deaths"]].strip():
                 deaths = _parse_int(row[idx["deaths"]], path, line_no, "deaths")
-                if deaths < 0:
-                    raise ParseError(path, line_no, f"negative deaths {deaths}")
-            if se is None and deaths is not None:
-                se = poisson_rate_se(deaths, population)
-            records.append(
-                PanelRecord(
-                    unit_id=unit, year=year, rate=rate, population=population, se=se,
-                    deaths=deaths,
+            try:
+                if se is None and deaths is not None:
+                    se = poisson_rate_se(deaths, population)
+                records.append(
+                    PanelRecord(
+                        unit_id=row[idx["unit"]].strip(), year=year, rate=rate,
+                        population=population, se=se, deaths=deaths,
+                    )
                 )
-            )
+            except DataError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
     try:
         return PanelDataset(records)
     except DataError as exc:
@@ -196,6 +186,9 @@ CONFIG_KEYS = {
 }
 
 
+_CHOICES = {"format": ("json", "csv"), "mode": ("bracket", "coverage", "synthetic_control")}
+
+
 @dataclass
 class AnalysisConfig:
     """Flat configuration; flags override file values, file overrides defaults."""
@@ -222,7 +215,12 @@ class AnalysisConfig:
     tau: float = 0.35
     bin_width: float = 0.25
     rank_unit: Optional[str] = None
-    sources: dict = field(default_factory=dict)
+
+    def require(self, *keys) -> None:
+        """Raise ConfigError for the first of ``keys`` that has no value."""
+        for key in keys:
+            if getattr(self, key) in (None, ""):
+                raise ConfigError(f"missing required config key {key!r}")
 
 
 def parse_period(text: str) -> PeriodRange:
@@ -264,11 +262,8 @@ def parse_config_text(text: str, origin: str = "<config>", allowed=None) -> dict
 
 
 def _as_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
+    if value in ("true", "false"):
+        return value == "true"
     raise ConfigError(f"{key}: expected true/false, got {value!r}")
 
 
@@ -277,36 +272,46 @@ def _as_list(value: str) -> tuple:
 
 
 def config_from_values(values: dict) -> AnalysisConfig:
+    """Type and check raw string values; the one place configuration is validated."""
     cfg = AnalysisConfig()
-    cfg.sources = dict(values)
     for key, value in values.items():
         try:
+            if not isinstance(value, str):  # argparse gives [] for "--flag=--"
+                raise ValueError
             if key in ("prestudy", "before", "after"):
-                setattr(cfg, key, parse_period(value))
+                value = parse_period(value)
             elif key in ("candidates", "lower_controls", "upper_controls", "exclusions"):
-                setattr(cfg, key, _as_list(value))
+                value = _as_list(value)
             elif key in ("alpha", "tau", "bin_width"):
-                setattr(cfg, key, float(value))
+                value = float(value)
             elif key in ("split_year", "seed", "reps"):
-                setattr(cfg, key, int(value))
+                value = int(value)
             elif key == "emit_plots":
-                cfg.emit_plots = _as_bool(value, key)
-            elif key == "format":
-                if value not in ("json", "csv"):
-                    raise ConfigError(f"format must be json or csv, got {value!r}")
-                cfg.format = value
-            else:
-                setattr(cfg, key, value)
+                value = _as_bool(value, key)
+            elif key in _CHOICES and value not in _CHOICES[key]:
+                raise ConfigError(
+                    f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}"
+                )
         except ValueError:
             raise ConfigError(f"{key}: bad value {value!r}") from None
+        setattr(cfg, key, value)
+    if not 0.0 < cfg.alpha < 1.0:  # also rejects nan
+        raise ConfigError(f"alpha must be finite and in (0, 1), got {cfg.alpha}")
+    if not (math.isfinite(cfg.bin_width) and cfg.bin_width > 0):
+        raise ConfigError(f"bin_width must be finite and positive, got {cfg.bin_width}")
     return cfg
 
 
-def load_config(path) -> AnalysisConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return config_from_values(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+def load_config(path=None, overrides=None) -> AnalysisConfig:
+    """The config file's values (if any) with ``overrides`` on top, then typed once."""
+    values = {}
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        values = parse_config_text(path.read_text(encoding="utf-8"), str(path))
+    values.update(overrides or {})
+    return config_from_values(values)
 
 
 def resolve_design(cfg: AnalysisConfig, panel: PanelDataset,
@@ -315,10 +320,9 @@ def resolve_design(cfg: AnalysisConfig, panel: PanelDataset,
 
     Explicit lower/upper control lists win; otherwise candidates (or the
     treated unit's neighbors) are classified against the pre-study period.
+    ``cfg`` must carry the treated unit and the three periods; callers
+    check that with ``cfg.require`` before reading the panel.
     """
-    for key in ("treated", "prestudy", "before", "after"):
-        if getattr(cfg, key) in (None, ""):
-            raise ConfigError(f"missing required config key {key!r}")
     if cfg.lower_controls and cfg.upper_controls:
         lower, upper = frozenset(cfg.lower_controls), frozenset(cfg.upper_controls)
     else:

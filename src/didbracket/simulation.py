@@ -213,7 +213,7 @@ class McReport:
 
 def _mc_summary(points: np.ndarray):
     mean = float(points.mean())
-    mcse = float(points.std(ddof=1) / math.sqrt(points.size)) if points.size > 1 else 0.0
+    mcse = float(points.std(ddof=1) / math.sqrt(points.size))
     return mean, mcse
 
 
@@ -222,10 +222,14 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
 
     bracket_holds allows three Monte Carlo standard errors of slack on
     each side, so a true boundary case (additive time effect) still
-    registers as holding.
+    registers as holding. A scenario with confounder drift is run as it
+    is: a violated drift ordering shows in ``flags`` (AssumptionViolation),
+    so the resulting bracket failure is observed, not asserted away.
     """
-    if reps < 1:
-        raise OutOfDomainError("reps must be >= 1")
+    if reps < 2:
+        # One replication has no spread: mcse would be 0 and the verdict
+        # would carry no slack.
+        raise OutOfDomainError("reps must be >= 2")
     lc = np.empty(reps)
     uc = np.empty(reps)
     for i, rng in enumerate(_rep_rngs(seed, reps)):
@@ -270,18 +274,6 @@ def coverage_experiment(
     coverage = hits / reps
     mcse = math.sqrt(coverage * (1.0 - coverage) / reps)
     return CoverageResult(coverage=coverage, mcse=mcse, reps=reps, alpha=alpha)
-
-
-def time_varying_scenario_check(scenario: Scenario, reps: int, seed: int) -> McReport:
-    """verify_bracketing for a scenario with confounder drift.
-
-    The drift ordering condition is not enforced: a violated ordering is
-    reported through the AssumptionViolation flag so the resulting bracket
-    failure can be observed rather than asserted away.
-    """
-    if scenario.drift is None:
-        raise InvalidScenarioError("scenario has no confounder drift configured")
-    return verify_bracketing(scenario, reps, seed)
 
 
 # Appendix-style synthetic-control comparison: exponential confounders with

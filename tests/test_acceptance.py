@@ -45,7 +45,6 @@ from didbracket.simulation import (
     coverage_experiment,
     shipped_scenarios,
     synthetic_control_comparison,
-    time_varying_scenario_check,
     verify_bracketing,
 )
 

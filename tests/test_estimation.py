@@ -15,7 +15,6 @@ from didbracket.errors import (
     OutOfDomainError,
 )
 from didbracket.estimation import (
-    NormalTail,
     did_point,
     did_se,
     normal_cdf,
@@ -85,8 +84,8 @@ def test_cdf_quantile_roundtrip():
 
 
 def test_normal_tail():
-    tail = NormalTail.from_alpha(0.05)
-    assert 1.9599 <= tail.z <= 1.9600
+    z = normal_quantile(1 - 0.05 / 2)
+    assert 1.9599 <= z <= 1.9600
 
 
 # --- weighted period mean ----------------------------------------------------
@@ -327,7 +326,7 @@ def test_wald_ci_standard_normal():
 @given(point=st.floats(-10, 10), se=st.floats(0, 5), alpha=st.floats(0.001, 0.5))
 def test_wald_ci_width_and_nesting(point, se, alpha):
     ci = wald_ci(point, se, alpha)
-    z = NormalTail.from_alpha(alpha).z
+    z = normal_quantile(1 - alpha / 2)
     assert ci.width() == pytest.approx(2 * z * se, rel=1e-12, abs=1e-12)
     wider = wald_ci(point, se, alpha / 2)
     assert wider.lower <= ci.lower and ci.upper <= wider.upper

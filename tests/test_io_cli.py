@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from didbracket import cli
-from didbracket.errors import ConfigError, ParseError, SchemaError
+from didbracket.errors import ConfigError, MissingSEError, ParseError, SchemaError
 from didbracket.io import (
     AnalysisConfig,
     bundled_path,
@@ -55,6 +58,35 @@ def test_negative_rate_aborts_with_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_panel_csv(path)
     assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "Iowa,1999,nan,,,2900000",
+        "Iowa,1999,inf,,,2900000",
+        "Iowa,1999,4.7,-0.1,,2900000",
+        "Iowa,1999,4.7,0.1,,0",
+        "Iowa,1999,4.7,0.1,-3,2900000",
+        "Iowa,1999,4.7,,-3,2900000",
+        "Iowa,1999,4.7,,30,0",
+        ",1999,4.7,0.1,,2900000",
+    ],
+)
+def test_record_range_errors_carry_the_line_number(tmp_path, row):
+    # The value ranges are PanelRecord's checks; the parser adds the line number.
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "unit,year,rate,se,deaths,population\n"
+        "Missouri,1999,4.7,0.1,,5500000\n"
+        "\n"
+        f"{row}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as err:
+        parse_panel_csv(path)
+    assert err.value.line_no == 4
+    assert str(err.value).startswith(f"{path}:4: ")
 
 
 def test_unknown_column_is_schema_error(tmp_path):
@@ -157,6 +189,13 @@ def test_config_lists_and_bools():
     assert cfg.emit_plots is True
     with pytest.raises(ConfigError):
         config_from_values(parse_config_text("emit_plots = maybe\n"))
+
+
+@pytest.mark.parametrize("value", ["yes", "no", "1", "0", "True", "FALSE"])
+def test_booleans_are_only_true_or_false(value):
+    with pytest.raises(ConfigError, match="emit_plots: expected true/false"):
+        config_from_values(parse_config_text(f"emit_plots = {value}\n"))
+    assert config_from_values({"emit_plots": "false"}).emit_plots is False
 
 
 # --- formatting and json -----------------------------------------------------
@@ -446,3 +485,185 @@ def test_simulate_unknown_scenario_exits_2(tmp_path, capsys):
          "--out-dir", str(tmp_path / "out")]
     )
     assert code == 2
+
+
+# --- CLI boundary: validate first, write last -----------------------------------
+
+
+def run_captured(argv):
+    """cli.main with stdout and stderr captured; usable inside hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_config_error(code, stdout, stderr, out_dir):
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("Config: ") and stderr.endswith("\n")
+    assert stderr.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def _parses(kind, text):
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Values no typed key accepts: a trailing letter defeats int(), float() and
+# the START-END period grammar alike.
+_garbage = st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=12
+).map(lambda s: s + "x")
+_not_int = st.one_of(
+    _garbage, st.sampled_from(["", " ", "1.5", "1e3", "nan", "--"]),
+    st.text(max_size=8).filter(lambda s: not _parses(int, s)),
+)
+_not_float = st.one_of(
+    _garbage, st.sampled_from(["", " ", "1,5", "0x10", "--"]),
+    st.text(max_size=8).filter(lambda s: not _parses(float, s)),
+)
+_not_choice = st.text(max_size=12).filter(
+    lambda s: s not in ("json", "csv", "bracket", "coverage", "synthetic_control")
+)
+
+
+def _outside(low, high):
+    return st.floats(allow_nan=True, allow_infinity=True).filter(
+        lambda x: not low < x < high
+    ).map(repr)
+
+
+# flag -> (command that takes it, malformed values)
+MALFORMED_FLAGS = {
+    "--alpha": ("analyze", st.one_of(_not_float, _outside(0.0, 1.0))),
+    "--tau": ("simulate", _not_float),
+    "--bin-width": ("placebo", st.one_of(_not_float, _outside(0.0, math.inf))),
+    "--seed": ("simulate", _not_int),
+    "--reps": ("simulate", _not_int),
+    "--split-year": ("diagnose", _not_int),
+    "--format": ("analyze", _not_choice),
+    "--mode": ("simulate", _not_choice),
+    "--prestudy": ("placebo", _garbage),
+    "--before": ("analyze", _garbage),
+    "--after": ("diagnose", _garbage),
+}
+KNOWN_FLAGS = ("--config", "--panel", "--adjacency", "--out-dir", "--emit-plots",
+               "--treated", "--candidates", "--exclusions", "--rank-unit", "--scenario",
+               "--help", *MALFORMED_FLAGS)
+
+
+def _base_argv(command, scratch):
+    # Inputs that do not exist: any file read would exit 3, not 2.
+    argv = [command, "--panel", str(scratch / "not_read.csv"),
+            "--adjacency", str(scratch / "not_read.csv"), "--out-dir", str(scratch / "out")]
+    if command != "simulate":
+        argv += ["--config", str(PAPER_CONFIG)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), flag=st.sampled_from(sorted(MALFORMED_FLAGS)))
+def test_malformed_flag_exits_2_with_one_line(tmp_path_factory, data, flag):
+    command, values = MALFORMED_FLAGS[flag]
+    value = data.draw(values, label="value")
+    scratch = tmp_path_factory.mktemp("fuzz")
+    code, stdout, stderr = run_captured([*_base_argv(command, scratch), f"{flag}={value}"])
+    assert_config_error(code, stdout, stderr, scratch / "out")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "diagnose", "placebo", "simulate"]),
+    flag=st.from_regex(r"--[a-z][a-z-]{0,12}", fullmatch=True).filter(
+        lambda f: not any(known.startswith(f) for known in KNOWN_FLAGS)
+    ),
+    with_value=st.booleans(),
+)
+def test_unknown_flag_exits_2_with_one_line(tmp_path_factory, command, flag, with_value):
+    scratch = tmp_path_factory.mktemp("fuzz")
+    argv = [*_base_argv(command, scratch), flag] + (["1"] if with_value else [])
+    assert_config_error(*run_captured(argv), scratch / "out")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["nonsense"], ["analyze", "stray"], ["analyze", "--alpha"], ["simulate", "-x"]],
+    ids=["no command", "unknown command", "positional", "missing value", "short flag"],
+)
+def test_malformed_invocation_exits_2(tmp_path, argv):
+    assert_config_error(*run_captured(argv), tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["mode = foo", "format = xml", "alpha = 1.5", "alpha = nan", "bin_width = 0",
+     "emit_plots = yes", "seed = 1.5", "before = soon", "no_such_key = 1"],
+)
+def test_bad_config_file_value_exits_2_before_any_output(tmp_path, line):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"scenario = additive\nreps = 200\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(["simulate", "--config", str(config),
+                                         "--out-dir", str(out)])
+    assert_config_error(code, stdout, stderr, out)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--split-year" in capsys.readouterr().out
+
+
+def test_flags_override_config_file_values(tmp_path):
+    out = tmp_path / "out"
+    config = tmp_path / "sim.conf"
+    config.write_text("scenario = additive\nreps = 150\nformat = json\nmode = bracket\n",
+                      encoding="utf-8")
+    code, _, _ = run_captured(["simulate", "--config", str(config), "--mode", "coverage",
+                               "--format", "csv", "--out-dir", str(out)])
+    assert code == 0
+    payload = json.loads((out / "mc_report.json").read_text())
+    assert payload["mode"] == "coverage" and payload["reps"] == 150
+    assert (out / "mc_report.csv").exists()
+
+
+def test_placebo_missing_rank_unit_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["placebo", "--config", str(PAPER_CONFIG), "--rank-unit", "Nowhere",
+         "--emit-plots", "--out-dir", str(out)]
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "ArmUnavailable: Nowhere has no lc placebo estimate\n"
+    assert not out.exists()
+
+
+def test_diagnose_failing_after_its_pattern_tests_writes_nothing(tmp_path, monkeypatch):
+    tested = []
+
+    def pattern_test(*args, **kwargs):
+        tested.append(args[3])
+        return original(*args, **kwargs)
+
+    def relative_trends_table(*args, **kwargs):
+        raise MissingSEError("treated group lacks SEs in 1999")
+
+    original = cli.pattern_test
+    monkeypatch.setattr(cli, "pattern_test", pattern_test)
+    monkeypatch.setattr(cli, "relative_trends_table", relative_trends_table)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["diagnose", "--config", str(PAPER_CONFIG), "--emit-plots", "--out-dir", str(out)]
+    )
+    assert tested == ["iii", "iv"]
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "MissingSE: treated group lacks SEs in 1999\n"
+    assert not out.exists()

@@ -12,7 +12,6 @@ from didbracket.simulation import (
     generate_panel,
     shipped_scenarios,
     synthetic_control_comparison,
-    time_varying_scenario_check,
     verify_bracketing,
 )
 
@@ -144,6 +143,14 @@ def test_verify_bracketing_requires_reps():
         verify_bracketing(linear_scenario(), reps=0, seed=1)
 
 
+def test_verify_bracketing_rejects_a_single_replication():
+    # One draw has no spread: mcse would be 0 and the verdict would have no slack.
+    with pytest.raises(OutOfDomainError, match="reps must be >= 2"):
+        verify_bracketing(linear_scenario(), reps=1, seed=1)
+    report = verify_bracketing(linear_scenario(), reps=2, seed=1)
+    assert report.mcse_lc > 0 and report.mcse_uc > 0
+
+
 # --- coverage ----------------------------------------------------------------
 
 
@@ -181,7 +188,7 @@ def test_coverage_requires_min_reps():
 
 
 def test_time_varying_bracket_holds_under_ordered_drift():
-    report = time_varying_scenario_check(
+    report = verify_bracketing(
         shipped_scenarios()["time_varying"], reps=3000, seed=13
     )
     assert report.flags == ()
@@ -205,18 +212,13 @@ def test_time_varying_zero_drift_matches_plain_check():
         noise_sd=base.noise_sd,
         n_per_cell=base.n_per_cell,
     )
-    a = time_varying_scenario_check(zero_drift, reps=2000, seed=21)
+    a = verify_bracketing(zero_drift, reps=2000, seed=21)
     b = verify_bracketing(no_drift, reps=2000, seed=22)
     # Identical data-generating processes; only the draw streams differ.
     tol_lc = 3 * (a.mcse_lc + b.mcse_lc)
     tol_uc = 3 * (a.mcse_uc + b.mcse_uc)
     assert abs(a.mean_effect_lc - b.mean_effect_lc) <= tol_lc
     assert abs(a.mean_effect_uc - b.mean_effect_uc) <= tol_uc
-
-
-def test_time_varying_requires_drift():
-    with pytest.raises(InvalidScenarioError):
-        time_varying_scenario_check(linear_scenario(), reps=100, seed=1)
 
 
 def test_time_varying_violation_reported_not_asserted():
@@ -229,7 +231,7 @@ def test_time_varying_violation_reported_not_asserted():
         n_per_cell=base.n_per_cell,
         drift=DriftSpec(lc=0.6, t=0.3, uc=0.0, sd=0.1),
     )
-    report = time_varying_scenario_check(violated, reps=1000, seed=2)
+    report = verify_bracketing(violated, reps=1000, seed=2)
     assert "AssumptionViolation:drift_ordering" in report.flags
     # bracket_holds may be False here; the report carries it either way.
     assert isinstance(report.bracket_holds, bool)
