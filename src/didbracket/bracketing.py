@@ -183,14 +183,13 @@ def full_analysis(
     design: StudyDesign,
     alpha: float = 0.05,
     split_year: Optional[int] = None,
-    include_all_controls: bool = True,
 ) -> BracketReport:
     """Run the whole bracketing analysis for a validated design.
 
     Produces both arm estimates, the bracket bounds, the min-max CI, the
-    before-period ordering check, optionally the pooled all-controls
-    estimate (which assumes parallel trends), and, when ``split_year`` is
-    given, the relative-trends pattern tests. Deterministic in its inputs.
+    before-period ordering check, the pooled all-controls estimate (which
+    assumes parallel trends), and, when ``split_year`` is given, the
+    relative-trends pattern tests. Deterministic in its inputs.
     """
     est_lower = arm_estimate(
         panel, design.treated, design.lower_controls, design.before, design.after, alpha
@@ -198,11 +197,9 @@ def full_analysis(
     est_upper = arm_estimate(
         panel, design.treated, design.upper_controls, design.before, design.after, alpha
     )
-    est_all = None
-    if include_all_controls:
-        est_all = arm_estimate(
-            panel, design.treated, design.all_controls(), design.before, design.after, alpha
-        )
+    est_all = arm_estimate(
+        panel, design.treated, design.all_controls(), design.before, design.after, alpha
+    )
     diagnostics = None
     if split_year is not None:
         diagnostics = tuple(

@@ -18,16 +18,23 @@ from pathlib import Path
 
 from . import io as dio
 from .bracketing import full_analysis
-from .diagnostics import pattern_test, relative_trends_table
-from .errors import ConfigError, DataError, InvariantError
+from .diagnostics import pattern_test, relative_trends_table, split_before
+from .errors import BadSplitError, ConfigError, DataError, InvariantError, OutOfDomainError
 from .model import validate_design
 from .placebo import ARMS, histogram_export, rank_effect, run_placebo_study
 from .simulation import (
+    check_reps,
+    check_synth_tau,
     coverage_experiment,
     shipped_scenarios,
     synthetic_control_comparison,
     verify_bracketing,
 )
+
+# The pattern-test fields that pattern_tests.json reports.
+_PATTERN_FIELDS = ("pattern", "p_a", "p_b", "iu_pvalue", "evidence")
+# The synthetic-control fields reported for both the analytic and the Monte Carlo run.
+_SYNTH_FIELDS = ("synthetic_after_mean", "counterfactual_after_mean", "bias")
 
 
 def _load_panel(cfg):
@@ -42,6 +49,11 @@ def _load_adjacency(cfg):
 
 def _resolved_design(cfg):
     cfg.require("treated", "prestudy", "before", "after")
+    if cfg.split_year is not None:
+        try:
+            split_before(cfg.before, cfg.split_year)
+        except BadSplitError as exc:
+            raise ConfigError(str(exc)) from None
     panel = _load_panel(cfg)
     needs_adjacency = not (cfg.lower_controls and cfg.upper_controls) and (
         cfg.candidates in ((), ("neighbors",))
@@ -71,7 +83,6 @@ def cmd_analyze(cfg):
                 ("upper_controls", report.est_upper_ctrl),
                 ("lower_controls", report.est_lower_ctrl),
             )
-            if est is not None
         ]
         files["bracket_table.csv"] = dio.rows_to_csv(
             ("control_group", "estimate", "ci_lower", "ci_upper",
@@ -89,19 +100,9 @@ def cmd_diagnose(cfg):
         for pattern in ("iii", "iv")
     ]
     payload = {
-        "schema_version": dio.SCHEMA_VERSION,
         "alpha": cfg.alpha,
         "split_year": cfg.split_year,
-        "patterns": [
-            {
-                "pattern": r.pattern,
-                "p_a": r.p_a,
-                "p_b": r.p_b,
-                "iu_pvalue": r.iu_pvalue,
-                "evidence": r.evidence,
-            }
-            for r in reports
-        ],
+        "patterns": [dio.fields_of(r, _PATTERN_FIELDS) for r in reports],
     }
     trend_rows = relative_trends_table(panel, design, by_year=True, alpha=cfg.alpha)
     files = {
@@ -150,22 +151,16 @@ def cmd_placebo(cfg):
         if r.excluded_reason is not None
     ]
     payload = {
-        "schema_version": dio.SCHEMA_VERSION,
         "n_results": len(results),
         "n_lc": sum(1 for r in results if r.effect_lc is not None),
         "n_uc": sum(1 for r in results if r.effect_uc is not None),
         "excluded": excluded,
     }
     if cfg.rank_unit is not None:
-        ranks = {}
-        for arm in ARMS:
-            rank = rank_effect(results, cfg.rank_unit, arm)
-            ranks[arm] = {
-                "n_total": rank.n_total,
-                "n_strictly_greater": rank.n_strictly_greater,
-                "rank": rank.rank,
-            }
-        payload["rank"] = {"unit": cfg.rank_unit, "arms": ranks}
+        payload["rank"] = {
+            "unit": cfg.rank_unit,
+            "arms": {arm: rank_effect(results, cfg.rank_unit, arm) for arm in ARMS},
+        }
     files["placebo_summary.json"] = dio.to_json(payload)
     stdout = (
         f"placebo study: {payload['n_lc']} lower-arm units, "
@@ -175,24 +170,20 @@ def cmd_placebo(cfg):
 
 
 def cmd_simulate(cfg):
+    try:
+        check_reps(cfg.mode, cfg.reps)
+        if cfg.mode == "synthetic_control":
+            check_synth_tau(cfg.tau)
+    except OutOfDomainError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.mode == "synthetic_control":
         analytic = synthetic_control_comparison(cfg.tau, analytic=True)
         mc = synthetic_control_comparison(cfg.tau, analytic=False, reps=cfg.reps, seed=cfg.seed)
         payload = {
-            "schema_version": dio.SCHEMA_VERSION,
-            "mode": "synthetic_control",
+            "mode": cfg.mode,
             "tau": cfg.tau,
-            "analytic": {
-                "synthetic_after_mean": analytic.synthetic_after_mean,
-                "counterfactual_after_mean": analytic.counterfactual_after_mean,
-                "bias": analytic.bias,
-            },
-            "monte_carlo": {
-                "reps": cfg.reps,
-                "synthetic_after_mean": mc.synthetic_after_mean,
-                "counterfactual_after_mean": mc.counterfactual_after_mean,
-                "bias": mc.bias,
-            },
+            "analytic": dio.fields_of(analytic, _SYNTH_FIELDS),
+            "monte_carlo": {"reps": cfg.reps, **dio.fields_of(mc, _SYNTH_FIELDS)},
             "weights": {"lower": analytic.weight_lower, "upper": analytic.weight_upper},
         }
         stdout = (
@@ -212,47 +203,24 @@ def cmd_simulate(cfg):
             )
         if cfg.mode == "coverage":
             result = coverage_experiment(scenario, cfg.reps, cfg.alpha, cfg.seed)
-            payload = {
-                "schema_version": dio.SCHEMA_VERSION,
-                "mode": "coverage",
-                "scenario": cfg.scenario,
-                "reps": result.reps,
-                "alpha": result.alpha,
-                "coverage": result.coverage,
-                "mcse": result.mcse,
-            }
             stdout = (
                 f"coverage[{cfg.scenario}] = {result.coverage:.4f} (mcse {result.mcse:.4f})\n"
             )
         else:
-            report = verify_bracketing(scenario, cfg.reps, cfg.seed)
-            payload = {
-                "schema_version": dio.SCHEMA_VERSION,
-                "mode": "bracket",
-                "scenario": cfg.scenario,
-                "reps": report.reps,
-                "true_effect": report.true_effect,
-                "mean_effect_lc": report.mean_effect_lc,
-                "mcse_lc": report.mcse_lc,
-                "mean_effect_uc": report.mean_effect_uc,
-                "mcse_uc": report.mcse_uc,
-                "bracket_holds": report.bracket_holds,
-                "flags": list(report.flags),
-            }
+            result = verify_bracketing(scenario, cfg.reps, cfg.seed)
             stdout = (
-                f"bracket[{cfg.scenario}]: lc {report.mean_effect_lc:.4f} "
-                f"uc {report.mean_effect_uc:.4f} holds={report.bracket_holds}\n"
+                f"bracket[{cfg.scenario}]: lc {result.mean_effect_lc:.4f} "
+                f"uc {result.mean_effect_uc:.4f} holds={result.bracket_holds}\n"
             )
+        payload = {"mode": cfg.mode, "scenario": cfg.scenario, **dio.fields_of(result)}
     files = {"mc_report.json": dio.to_json(payload)}
     if cfg.format == "csv":
         flat = {
             k: v
-            for k, v in payload.items()
+            for k, v in sorted(dio.report_data(payload).items())
             if not isinstance(v, (dict, list))
         }
-        files["mc_report.csv"] = dio.rows_to_csv(
-            sorted(flat), [tuple(flat[k] for k in sorted(flat))]
-        )
+        files["mc_report.csv"] = dio.rows_to_csv(flat, [tuple(flat.values())])
     return files, stdout
 
 
@@ -317,6 +285,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(exc) -> tuple:
+    """The ``Class`` label of an error's stderr line, and its exit code."""
+    if isinstance(exc, ConfigError):
+        return exc.code, 2
+    if isinstance(exc, FileNotFoundError):
+        return "FileNotFound", 3
+    if isinstance(exc, InvariantError):
+        return exc.code, 4
+    if isinstance(exc, DataError):
+        return exc.code, 3
+    return f"Internal: {type(exc).__name__}", 4  # keep the single-line contract
+
+
 def main(argv=None) -> int:
     try:
         args = vars(_build_parser().parse_args(argv))
@@ -327,21 +308,11 @@ def main(argv=None) -> int:
             dio.atomic_write_text(Path(cfg.out_dir) / name, text)
         sys.stdout.write(stdout)
         return 0
-    except ConfigError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"FileNotFound: {exc}", file=sys.stderr)
-        return 3
-    except InvariantError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # internal failure: keep the single-line contract
-        print(f"Internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        label, code = _failure(exc)
+        line = f"{label}: {exc}".replace("\r", "\\r").replace("\n", "\\n")
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

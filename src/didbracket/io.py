@@ -9,6 +9,7 @@ reports; hand-built SVG for plots. All writes are atomic
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io as _io
 import json
 import math
@@ -32,7 +33,6 @@ from .estimation import poisson_rate_se
 from .model import (
     AdjacencyGraph,
     BracketReport,
-    ConfInterval,
     PanelDataset,
     PanelRecord,
     PeriodRange,
@@ -441,84 +441,70 @@ def format_number(x: float) -> str:
     return text if text not in ("", "-0") else "0"
 
 
-def _assert_finite(obj, where="report"):
+def fields_of(obj, names=None) -> dict:
+    """``{name: value}`` of a dataclass's fields, or of the ``names`` picked from them."""
+    if names is None:
+        names = [f.name for f in dataclasses.fields(obj)]
+    return {name: getattr(obj, name) for name in names}
+
+
+def _plain(obj, path: str):
+    """``obj`` as JSON data: the one place the report format is defined.
+
+    A dataclass becomes its fields, a PeriodRange its ``START-END`` text, a
+    set a sorted list and a tuple a list. A non-finite float is refused
+    with its path, e.g. ``report.lower_ctrl.ci.lower``.
+    """
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise InvariantError(f"non-finite number in {where}")
-    elif isinstance(obj, dict):
-        for k, v in obj.items():
-            _assert_finite(v, f"{where}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _assert_finite(v, f"{where}[{i}]")
+            raise InvariantError(f"non-finite number {obj!r} at {path}")
+        return obj
+    if isinstance(obj, PeriodRange):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = fields_of(obj)
+    if isinstance(obj, dict):
+        return {key: _plain(value, f"{path}.{key}") for key, value in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        obj = sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value, f"{path}[{i}]") for i, value in enumerate(obj)]
+    return obj
+
+
+def report_data(payload: dict) -> dict:
+    """A report as plain JSON data, stamped with the schema version."""
+    return _plain({**payload, "schema_version": SCHEMA_VERSION}, "report")
 
 
 def to_json(payload: dict) -> str:
-    _assert_finite(payload)
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(report_data(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def ci_dict(ci: ConfInterval) -> dict:
-    return {"lower": ci.lower, "upper": ci.upper, "level": ci.level}
-
-
-def effect_dict(est) -> dict:
-    return {
-        "point": est.point,
-        "se": est.se,
-        "ci": ci_dict(est.ci),
-        "pct_point": est.pct_point,
-        "pct_ci": ci_dict(est.pct_ci),
-        "pct_se_delta": est.pct_se_delta,
-        "denom": est.denom,
-    }
+# The pooled all-controls estimate is informational only.
+ALL_CTRL_NOTE = "assumes parallel trends"
 
 
 def bracket_report_dict(report: BracketReport, design: StudyDesign) -> dict:
+    """The ``bracket_report.json`` payload; the keys are renamed for the reader."""
+    ordering = report.ordering
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "alpha": report.alpha,
-        "design": {
-            "treated": design.treated,
-            "lower_controls": sorted(design.lower_controls),
-            "upper_controls": sorted(design.upper_controls),
-            "prestudy": str(design.prestudy),
-            "before": str(design.before),
-            "after": str(design.after),
-        },
-        "lower_ctrl": effect_dict(report.est_lower_ctrl),
-        "upper_ctrl": effect_dict(report.est_upper_ctrl),
-        "bracket": list(report.bracket),
-        "minmax_ci": ci_dict(report.minmax_ci),
+        "design": design,
+        "lower_ctrl": report.est_lower_ctrl,
+        "upper_ctrl": report.est_upper_ctrl,
+        "all_controls": {**fields_of(report.est_all_ctrl), "note": ALL_CTRL_NOTE},
+        "bracket": report.bracket,
+        "minmax_ci": report.minmax_ci,
         "ordering": {
-            "period": str(report.ordering.period),
-            "upper_minus_treated": {
-                "point": report.ordering.diff_uc_minus_t.point,
-                "ci": ci_dict(report.ordering.diff_uc_minus_t.ci),
-            },
-            "treated_minus_lower": {
-                "point": report.ordering.diff_t_minus_lc.point,
-                "ci": ci_dict(report.ordering.diff_t_minus_lc.ci),
-            },
-            "flags": list(report.ordering.flags),
+            "period": ordering.period,
+            "upper_minus_treated": ordering.diff_uc_minus_t,
+            "treated_minus_lower": ordering.diff_t_minus_lc,
+            "flags": ordering.flags,
         },
     }
-    if report.est_all_ctrl is not None:
-        payload["all_controls"] = effect_dict(report.est_all_ctrl)
-        payload["all_controls"]["note"] = report.all_ctrl_note
     if report.diagnostics is not None:
-        payload["diagnostics"] = [
-            {
-                "pattern": d.pattern,
-                "split_year": d.split_year,
-                "p_a": d.p_a,
-                "p_b": d.p_b,
-                "iu_pvalue": d.iu_pvalue,
-                "evidence": d.evidence,
-                "alpha": d.alpha,
-            }
-            for d in report.diagnostics
-        ]
+        payload["diagnostics"] = report.diagnostics
     return payload
 
 
@@ -555,8 +541,7 @@ def summary_text(report: BracketReport, design: StudyDesign) -> str:
             f"{display_pct(est.pct_point):>5}  {pci}"
         )
 
-    if report.est_all_ctrl is not None:
-        lines.append(row("All controls", report.est_all_ctrl) + f"   ({report.all_ctrl_note})")
+    lines.append(row("All controls", report.est_all_ctrl) + f"   ({ALL_CTRL_NOTE})")
     lines.append(row("Upper controls", report.est_upper_ctrl))
     lines.append(row("Lower controls", report.est_lower_ctrl))
     lines += [

@@ -324,7 +324,10 @@ class OrderingReport:
 
 @dataclass(frozen=True)
 class BracketReport:
-    """Full bracketing analysis: both arms, bounds, min-max CI, diagnostics."""
+    """Full bracketing analysis: both arms, bounds, min-max CI, diagnostics.
+
+    ``est_all_ctrl`` pools both control groups and assumes parallel trends.
+    """
 
     est_lower_ctrl: EffectEstimate
     est_upper_ctrl: EffectEstimate
@@ -332,9 +335,8 @@ class BracketReport:
     minmax_ci: ConfInterval
     ordering: OrderingReport
     alpha: float
-    est_all_ctrl: Optional[EffectEstimate] = None
-    all_ctrl_note: str = "assumes parallel trends"
-    diagnostics: tuple = field(default=None)
+    est_all_ctrl: EffectEstimate
+    diagnostics: Optional[tuple] = None
 
     def __post_init__(self):
         lo, hi = self.bracket

@@ -11,7 +11,7 @@ reproduce across platforms and are order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -194,6 +194,17 @@ def _rep_rngs(seed: int, reps: int):
         yield np.random.default_rng(child)
 
 
+# The fewest replications each experiment accepts. One bracket replication
+# has no spread (mcse would be 0 and the verdict would carry no slack).
+MIN_REPS = {"bracket": 2, "coverage": 100, "synthetic_control": 1}
+
+
+def check_reps(mode: str, reps: int) -> None:
+    """Raise OutOfDomainError when ``reps`` is below ``mode``'s minimum."""
+    if reps < MIN_REPS[mode]:
+        raise OutOfDomainError(f"reps must be >= {MIN_REPS[mode]} in {mode} mode, got {reps}")
+
+
 @dataclass(frozen=True)
 class McReport:
     reps: int
@@ -203,12 +214,7 @@ class McReport:
     mean_effect_uc: float
     mcse_uc: float
     bracket_holds: bool
-    coverage: Optional[float] = None
-    flags: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.coverage is not None and not 0.0 <= self.coverage <= 1.0:
-            raise InvalidScenarioError("coverage must lie in [0, 1]")
+    flags: tuple = ()
 
 
 def _mc_summary(points: np.ndarray):
@@ -226,10 +232,7 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
     is: a violated drift ordering shows in ``flags`` (AssumptionViolation),
     so the resulting bracket failure is observed, not asserted away.
     """
-    if reps < 2:
-        # One replication has no spread: mcse would be 0 and the verdict
-        # would carry no slack.
-        raise OutOfDomainError("reps must be >= 2")
+    check_reps("bracket", reps)
     lc = np.empty(reps)
     uc = np.empty(reps)
     for i, rng in enumerate(_rep_rngs(seed, reps)):
@@ -262,8 +265,7 @@ def coverage_experiment(
     scenario: Scenario, reps: int, alpha: float, seed: int
 ) -> CoverageResult:
     """Fraction of replications whose min-max interval contains the effect."""
-    if reps < 100:
-        raise OutOfDomainError("coverage experiments need reps >= 100")
+    check_reps("coverage", reps)
     hits = 0
     for rng in _rep_rngs(seed, reps):
         ci_lc, ci_uc = _generate(scenario, rng).arm_cis(alpha)
@@ -281,6 +283,14 @@ def coverage_experiment(
 # exponential after.
 SYNTH_LOWER_SCALE = 0.2
 SYNTH_UPPER_SCALE = 0.5
+
+
+def check_synth_tau(tau: float) -> None:
+    """Raise OutOfDomainError unless ``tau`` lies strictly between the control scales."""
+    if not SYNTH_LOWER_SCALE < tau < SYNTH_UPPER_SCALE:
+        raise OutOfDomainError(
+            f"tau must lie strictly between {SYNTH_LOWER_SCALE} and {SYNTH_UPPER_SCALE}"
+        )
 
 
 @dataclass(frozen=True)
@@ -307,10 +317,7 @@ def synthetic_control_comparison(
     E[exp(U)] = 1/(1 - scale); Monte Carlo mode estimates the same means
     from draws.
     """
-    if not SYNTH_LOWER_SCALE < tau < SYNTH_UPPER_SCALE:
-        raise OutOfDomainError(
-            f"tau must lie strictly between {SYNTH_LOWER_SCALE} and {SYNTH_UPPER_SCALE}"
-        )
+    check_synth_tau(tau)
     span = SYNTH_UPPER_SCALE - SYNTH_LOWER_SCALE
     w_lower = (SYNTH_UPPER_SCALE - tau) / span
     w_upper = (tau - SYNTH_LOWER_SCALE) / span
@@ -320,8 +327,7 @@ def synthetic_control_comparison(
         counterfactual = 1.0 / (1.0 - tau)
         mode = "analytic"
     else:
-        if reps < 1:
-            raise OutOfDomainError("reps must be >= 1")
+        check_reps("synthetic_control", reps)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         u_lower = rng.exponential(SYNTH_LOWER_SCALE, reps)
         u_upper = rng.exponential(SYNTH_UPPER_SCALE, reps)

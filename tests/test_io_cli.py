@@ -579,7 +579,7 @@ def test_malformed_flag_exits_2_with_one_line(tmp_path_factory, data, flag):
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["analyze", "diagnose", "placebo", "simulate"]),
-    flag=st.from_regex(r"--[a-z][a-z-]{0,12}", fullmatch=True).filter(
+    flag=st.from_regex(r"--[a-z][a-z\n-]{0,12}", fullmatch=True).filter(
         lambda f: not any(known.startswith(f) for known in KNOWN_FLAGS)
     ),
     with_value=st.booleans(),
@@ -590,13 +590,43 @@ def test_unknown_flag_exits_2_with_one_line(tmp_path_factory, command, flag, wit
     assert_config_error(*run_captured(argv), scratch / "out")
 
 
+OUT = "<out>"  # stands for the test's output directory
+# A panel that does not exist: reading it would exit 3, not 2.
+NOT_READ = ("--config", str(PAPER_CONFIG), "--panel", "not_read.csv")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [[], ["nonsense"], ["analyze", "stray"], ["analyze", "--alpha"], ["simulate", "-x"]],
-    ids=["no command", "unknown command", "positional", "missing value", "short flag"],
+    [[], ["nonsense"], ["analyze", "stray"], ["analyze", "--alpha"], ["simulate", "-x"],
+     ["analyze", "a\nb"],
+     ["simulate", "--reps", "1", "--out-dir", OUT],
+     ["simulate", "--mode", "coverage", "--reps", "50", "--out-dir", OUT],
+     ["simulate", "--mode", "synthetic_control", "--tau", "0.9", "--out-dir", OUT],
+     ["diagnose", *NOT_READ, "--split-year", "2007", "--out-dir", OUT],
+     ["analyze", *NOT_READ, "--split-year", "1998", "--out-dir", OUT]],
+    ids=["no command", "unknown command", "positional", "missing value", "short flag",
+         "positional with newline", "bracket reps 1", "coverage reps 50",
+         "synthetic tau 0.9", "diagnose split at the end", "analyze split before"],
 )
 def test_malformed_invocation_exits_2(tmp_path, argv):
-    assert_config_error(*run_captured(argv), tmp_path / "out")
+    out = tmp_path / "out"
+    argv = [str(out) if arg == OUT else arg for arg in argv]
+    assert_config_error(*run_captured(argv), out)
+
+
+@pytest.mark.parametrize("flag, name", [("--panel", "no\nsuch.csv"),
+                                        ("--adjacency", "no\rsuch.csv")])
+def test_missing_input_with_newline_exits_3_with_one_line(tmp_path, flag, name):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["placebo", "--config", str(PAPER_CONFIG), flag, str(tmp_path / name),
+         "--out-dir", str(out)]
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("FileNotFound: ") and stderr.count("\n") == 1
+    assert "\r" not in stderr and stderr.endswith("such.csv\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
