@@ -178,7 +178,12 @@ def did_point(
     c_after: PeriodSummary,
 ) -> float:
     """Moment difference-in-differences: (treated change) - (control change)."""
-    return (t_after.mean - t_before.mean) - (c_after.mean - c_before.mean)
+    return did_of_means(t_before.mean, t_after.mean, c_before.mean, c_after.mean)
+
+
+def did_of_means(t_before, t_after, c_before, c_after):
+    """:func:`did_point` on bare cell means: floats, or numpy arrays elementwise."""
+    return (t_after - t_before) - (c_after - c_before)
 
 
 def _require_ses(*summaries) -> list:
@@ -197,17 +202,35 @@ def did_se(
     c_after: PeriodSummary,
 ) -> float:
     """SE of the DiD point under independence of the four cells."""
-    ses = _require_ses(t_before, t_after, c_before, c_after)
-    return math.sqrt(sum(se * se for se in ses))
+    return math.sqrt(did_variance(*_require_ses(t_before, t_after, c_before, c_after)))
+
+
+def did_variance(se_t_before, se_t_after, se_c_before, se_c_after):
+    """Squared SE of the DiD point from the four cell SEs: floats, or numpy arrays.
+
+    The squares are added in cell order, so the array form matches
+    :func:`did_se` bit for bit.
+    """
+    return (
+        se_t_before * se_t_before
+        + se_t_after * se_t_after
+        + se_c_before * se_c_before
+        + se_c_after * se_c_after
+    )
+
+
+def wald_z(alpha: float) -> float:
+    """The normal quantile of a two-sided level-alpha Wald interval."""
+    if not 0.0 < alpha < 1.0:
+        raise OutOfDomainError(f"alpha must be in (0, 1), got {alpha}")
+    return normal_quantile(1.0 - alpha / 2.0)
 
 
 def wald_ci(point: float, se: float, alpha: float) -> ConfInterval:
     """Two-sided normal interval, the intersection of two one-sided 1 - alpha/2 intervals."""
     if se < 0:
         raise OutOfDomainError("se must be >= 0")
-    if not 0.0 < alpha < 1.0:
-        raise OutOfDomainError(f"alpha must be in (0, 1), got {alpha}")
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = wald_z(alpha)
     return ConfInterval(point - z * se, point + z * se, level=1.0 - alpha)
 
 

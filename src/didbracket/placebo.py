@@ -129,15 +129,31 @@ class HistBin:
     count: int
 
 
+# The most bins one histogram may span. The bin count follows the spread of
+# the values over the width, not the number of units, so one outlying rate
+# could otherwise ask for millions of bins.
+MAX_HIST_BINS = 100_000
+
+
 def histogram_export(results, arm: str, bin_width: float) -> tuple:
-    """Left-closed right-open bins anchored at 0, covering the arm's values."""
+    """Left-closed right-open bins anchored at 0, covering the arm's values.
+
+    Raises OutOfDomainError, before any bin is built, when the values
+    span more than MAX_HIST_BINS bins of ``bin_width``.
+    """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise OutOfDomainError(f"bin_width must be finite and positive, got {bin_width}")
     values = sorted(r.arm(arm) for r in results if r.arm(arm) is not None)
     if not values:
         return ()
-    first = math.floor(values[0] / bin_width)
-    last = math.floor(values[-1] / bin_width)
+    lo, hi = values[0] / bin_width, values[-1] / bin_width
+    n_bins = math.floor(hi) - math.floor(lo) + 1 if math.isfinite(hi - lo) else math.inf
+    if n_bins > MAX_HIST_BINS:
+        raise OutOfDomainError(
+            f"the {arm} histogram needs {n_bins:.6g} bins of width {bin_width}, "
+            f"more than {MAX_HIST_BINS}"
+        )
+    first, last = math.floor(lo), math.floor(hi)
     counts = {k: 0 for k in range(first, last + 1)}
     for v in values:
         counts[math.floor(v / bin_width)] += 1

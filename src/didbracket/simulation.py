@@ -6,6 +6,11 @@ profile that may amplify it after the intervention, independent noise, and
 the treatment effect added only to the treated-after cell. Replications
 use per-replication child seeds of one named generator (PCG64), so runs
 reproduce across platforms and are order-independent.
+
+The engine draws replications into a fixed-size (chunk, 6, n) buffer and
+reduces each chunk once (cell means, SEs, arm points, min-max intervals as
+arrays), so memory does not grow with the number of replications. Every
+result is bit-identical to reducing one replication at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidScenarioError, OutOfDomainError
-from .estimation import did_point, did_se, wald_ci
+from .estimation import did_of_means, did_point, did_variance, wald_z
 from .model import PeriodSummary
 
 GROUPS = ("lc", "t", "uc")
@@ -124,6 +129,22 @@ def _time_profile(scenario: Scenario, u: np.ndarray, period: int) -> np.ndarray:
     return np.exp(u) if period == 1 else u  # convex_after
 
 
+# The six cells of one replication, in buffer order: lc0, lc1, t0, t1, uc0, uc1.
+CELLS = tuple((group, period) for group in GROUPS for period in (0, 1))
+LC0, LC1, T0, T1, UC0, UC1 = range(len(CELLS))
+
+# Replications are drawn into a (chunk, 6, n) float64 buffer of about this
+# many bytes and reduced a chunk at a time, so memory does not grow with
+# reps. Larger chunks save no measurable time and raise peak RSS: a 1 MiB
+# buffer (and std's temporary of the same size) cost coverage mode 1.5 MB.
+CHUNK_BYTES = 1 << 18
+
+
+def chunk_len(n_per_cell: int) -> int:
+    """Replications per chunk for cells of ``n_per_cell`` draws."""
+    return max(1, CHUNK_BYTES // (len(CELLS) * n_per_cell * 8))
+
+
 @dataclass(frozen=True)
 class SimulatedPanel:
     """Cell-level view of one simulated draw: mean, SE, n per (group, period)."""
@@ -142,21 +163,6 @@ class SimulatedPanel:
             did_point(t0, t1, self.summary("uc", 0), self.summary("uc", 1)),
         )
 
-    def arm_cis(self, alpha: float) -> tuple:
-        t0, t1 = self.summary("t", 0), self.summary("t", 1)
-        out = []
-        for group in ("lc", "uc"):
-            c0, c1 = self.summary(group, 0), self.summary(group, 1)
-            point = did_point(t0, t1, c0, c1)
-            out.append(wald_ci(point, did_se(t0, t1, c0, c1), alpha))
-        return tuple(out)
-
-
-def _cell_summary(values: np.ndarray) -> PeriodSummary:
-    n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PeriodSummary(mean=float(values.mean()), se=se, total_weight=float(n))
-
 
 def _draw_confounder(rng, spec: ConfounderSpec, group: str, n: int) -> np.ndarray:
     if spec.kind == "normal":
@@ -164,34 +170,76 @@ def _draw_confounder(rng, spec: ConfounderSpec, group: str, n: int) -> np.ndarra
     return rng.exponential(spec.param(group), n)
 
 
-def _generate(scenario: Scenario, rng) -> SimulatedPanel:
+def _fill(scenario: Scenario, rng, out: np.ndarray) -> None:
+    """Draw one replication into ``out`` (6, n), cells in CELLS order.
+
+    Per group the draws are: confounder, drift (if any), then the before
+    and the after noise (if any). This order is part of the output.
+    """
     n = scenario.n_per_cell
-    cells = {}
-    for group in GROUPS:
+    noise = scenario.noise_sd
+    for k, group in enumerate(GROUPS):
         u0 = _draw_confounder(rng, scenario.confounder, group, n)
         if scenario.drift is not None:
             u1 = u0 + rng.normal(scenario.drift.param(group), scenario.drift.sd, n)
         else:
             u1 = u0
-        eps0 = rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd else np.zeros(n)
-        eps1 = rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd else np.zeros(n)
-        y0 = _time_profile(scenario, u0, 0) + eps0
-        y1 = _time_profile(scenario, u1, 1) + eps1
+        eps0 = rng.normal(0.0, noise, n) if noise else 0.0
+        eps1 = rng.normal(0.0, noise, n) if noise else 0.0
+        np.add(_time_profile(scenario, u0, 0), eps0, out=out[2 * k])
+        np.add(_time_profile(scenario, u1, 1), eps1, out=out[2 * k + 1])
         if group == "t":
-            y1 = y1 + scenario.effect
-        cells[(group, 0)] = _cell_summary(y0)
-        cells[(group, 1)] = _cell_summary(y1)
-    return SimulatedPanel(cells=cells, effect=scenario.effect)
+            out[2 * k + 1] += scenario.effect
+
+
+def _reduce(buf: np.ndarray, with_se: bool) -> tuple:
+    """Cell means (reps, 6) and, if asked, cell SEs; SEs are 0.0 for one draw a cell."""
+    means = buf.mean(axis=-1)
+    if not with_se:
+        return means, None
+    n = buf.shape[-1]
+    if n == 1:
+        return means, np.zeros_like(means)
+    return means, buf.std(axis=-1, ddof=1) / math.sqrt(n)
+
+
+def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
+    """Yield (means, ses) for each chunk of ``reps`` replications.
+
+    Replication i draws from the i-th PCG64 child of ``SeedSequence(seed)``,
+    whatever the chunk length: children are spawned chunk by chunk, and
+    successive ``spawn`` calls continue the same sequence of children.
+    """
+    n = scenario.n_per_cell
+    root = np.random.SeedSequence(seed)
+    buf = np.empty((min(reps, chunk_len(n)), len(CELLS), n))
+    for start in range(0, reps, len(buf)):
+        chunk = buf[: min(len(buf), reps - start)]
+        for out, child in zip(chunk, root.spawn(len(chunk))):
+            _fill(scenario, np.random.default_rng(child), out)
+        yield _reduce(chunk, with_se)
 
 
 def generate_panel(scenario: Scenario, seed: int) -> SimulatedPanel:
     """One simulated draw; identical seeds give identical panels."""
-    return _generate(scenario, np.random.default_rng(np.random.SeedSequence(seed)))
+    buf = np.empty((1, len(CELLS), scenario.n_per_cell))
+    _fill(scenario, np.random.default_rng(np.random.SeedSequence(seed)), buf[0])
+    means, ses = _reduce(buf, with_se=True)
+    weight = float(scenario.n_per_cell)
+    cells = {
+        cell: PeriodSummary(mean=float(means[0, i]), se=float(ses[0, i]), total_weight=weight)
+        for i, cell in enumerate(CELLS)
+    }
+    return SimulatedPanel(cells=cells, effect=scenario.effect)
 
 
-def _rep_rngs(seed: int, reps: int):
-    for child in np.random.SeedSequence(seed).spawn(reps):
-        yield np.random.default_rng(child)
+def _arms(cells: np.ndarray, combine) -> tuple:
+    """``combine`` applied to the four cells of each arm: (vs lower, vs upper)."""
+    t0, t1 = cells[:, T0], cells[:, T1]
+    return (
+        combine(t0, t1, cells[:, LC0], cells[:, LC1]),
+        combine(t0, t1, cells[:, UC0], cells[:, UC1]),
+    )
 
 
 # The fewest replications each experiment accepts. One bracket replication
@@ -235,8 +283,11 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
     check_reps("bracket", reps)
     lc = np.empty(reps)
     uc = np.empty(reps)
-    for i, rng in enumerate(_rep_rngs(seed, reps)):
-        lc[i], uc[i] = _generate(scenario, rng).arm_points()
+    start = 0
+    for means, _ in _replicate(scenario, reps, seed, with_se=False):
+        stop = start + len(means)
+        lc[start:stop], uc[start:stop] = _arms(means, did_of_means)
+        start = stop
     mean_lc, mcse_lc = _mc_summary(lc)
     mean_uc, mcse_uc = _mc_summary(uc)
     slack = 3.0 * max(mcse_lc, mcse_uc)
@@ -261,18 +312,37 @@ class CoverageResult:
     alpha: float
 
 
+def _minmax_intervals(scenario: Scenario, reps: int, alpha: float, seed: int):
+    """Yield each chunk's min-max intervals: (lower, upper), one entry a replication.
+
+    Each arm's interval has wald_ci's endpoints around the arm's point, with
+    did_se's SE; the arms combine as in minmax_ci, by min() of the lower
+    endpoints and max() of the upper ones. np.where keeps min()'s choice
+    when one arm is NaN (an overflowed cell); np.minimum would give NaN.
+    """
+    z = wald_z(alpha)
+    for means, ses in _replicate(scenario, reps, seed, with_se=True):
+        ends = []
+        for point, variance in zip(_arms(means, did_of_means), _arms(ses, did_variance)):
+            half = z * np.sqrt(variance)
+            ends.append((point - half, point + half))
+        (lower_lc, upper_lc), (lower_uc, upper_uc) = ends
+        yield (
+            np.where(lower_uc < lower_lc, lower_uc, lower_lc),
+            np.where(upper_uc > upper_lc, upper_uc, upper_lc),
+        )
+
+
 def coverage_experiment(
     scenario: Scenario, reps: int, alpha: float, seed: int
 ) -> CoverageResult:
     """Fraction of replications whose min-max interval contains the effect."""
     check_reps("coverage", reps)
-    hits = 0
-    for rng in _rep_rngs(seed, reps):
-        ci_lc, ci_uc = _generate(scenario, rng).arm_cis(alpha)
-        lower = min(ci_lc.lower, ci_uc.lower)
-        upper = max(ci_lc.upper, ci_uc.upper)
-        if lower <= scenario.effect <= upper:
-            hits += 1
+    effect = scenario.effect
+    hits = sum(
+        int(np.count_nonzero((lower <= effect) & (effect <= upper)))
+        for lower, upper in _minmax_intervals(scenario, reps, alpha, seed)
+    )
     coverage = hits / reps
     mcse = math.sqrt(coverage * (1.0 - coverage) / reps)
     return CoverageResult(coverage=coverage, mcse=mcse, reps=reps, alpha=alpha)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from didbracket.io import (
     format_number,
     histogram_svg,
     line_chart_svg,
+    load_config,
     parse_config_text,
     parse_panel_csv,
     parse_period,
@@ -196,6 +198,58 @@ def test_booleans_are_only_true_or_false(value):
     with pytest.raises(ConfigError, match="emit_plots: expected true/false"):
         config_from_values(parse_config_text(f"emit_plots = {value}\n"))
     assert config_from_values({"emit_plots": "false"}).emit_plots is False
+
+
+_WORDS = st.text("abXY09 _./#=-", max_size=12).filter(lambda t: t == t.strip())
+_ITEMS = st.lists(_WORDS.filter(bool), max_size=4).map(tuple)
+_PERIODS = st.none() | st.tuples(st.integers(0, 9999), st.integers(0, 9999)).map(
+    lambda ab: PeriodRange(min(ab), max(ab))
+)
+
+
+def _config_text(cfg: AnalysisConfig, order) -> str:
+    """``cfg`` written in the config grammar, one line per set key, in ``order``."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue  # None is every optional key's default; the grammar has no null
+        if isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, tuple):
+            text = ", ".join(value)
+        elif isinstance(value, float):
+            text = repr(value)
+        else:
+            text = str(value)  # str, int, PeriodRange as START-END
+        lines.append(f"{f.name} = {text}")
+    order.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    cfg=st.builds(
+        AnalysisConfig,
+        panel=_WORDS, adjacency=_WORDS, out_dir=_WORDS, scenario=_WORDS,
+        treated=st.none() | _WORDS, rank_unit=st.none() | _WORDS,
+        candidates=_ITEMS, lower_controls=_ITEMS, upper_controls=_ITEMS, exclusions=_ITEMS,
+        prestudy=_PERIODS, before=_PERIODS, after=_PERIODS,
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        tau=st.floats(allow_nan=False),
+        bin_width=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        split_year=st.none() | st.integers(), seed=st.integers(), reps=st.integers(),
+        format=st.sampled_from(["json", "csv"]),
+        mode=st.sampled_from(["bracket", "coverage", "synthetic_control"]),
+        emit_plots=st.booleans(),
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_config_text_round_trip(tmp_path_factory, cfg, order):
+    # Periods use non-negative years: the grammar reads a leading '-' as the separator.
+    path = tmp_path_factory.mktemp("cfg") / "run.conf"
+    path.write_text(_config_text(cfg, order), encoding="utf-8")
+    assert load_config(path) == cfg
 
 
 # --- formatting and json -----------------------------------------------------
@@ -415,6 +469,27 @@ def test_placebo_bad_bin_width_exits_2_before_any_output(tmp_path, capsys, width
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("Config: bin_width") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_placebo_outlying_rate_exits_3_before_any_output(tmp_path, capsys, bundled_panel):
+    # One unit's after-period rates 1e5 higher spread the placebo estimates
+    # over ~400,000 bins of the default width.
+    records = [
+        dataclasses.replace(r, rate=r.rate + 1e5)
+        if r.unit_id == "Iowa" and r.year >= 2008 else r
+        for r in bundled_panel.records
+    ]
+    panel = tmp_path / "outlier.csv"
+    write_panel_csv(PanelDataset(records), panel)
+    out = tmp_path / "out"
+    code = run_cli(
+        ["placebo", "--config", str(PAPER_CONFIG), "--panel", str(panel), "--out-dir", str(out)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("OutOfDomain: the lc histogram needs ") and err.count("\n") == 1
+    assert "bins of width 0.25" in err
     assert not out.exists()
 
 

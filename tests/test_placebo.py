@@ -10,6 +10,7 @@ from didbracket.errors import ArmUnavailableError, DataError, OutOfDomainError
 from didbracket.io import bundled_path, parse_adjacency_csv
 from didbracket.model import PanelDataset, PeriodRange
 from didbracket.placebo import (
+    MAX_HIST_BINS,
     AdjacencyGraph,
     PlaceboResult,
     histogram_export,
@@ -163,6 +164,22 @@ def test_histogram_empty_and_bad_width():
     for width in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(OutOfDomainError):
             histogram_export(_results([1.0]), "lc", width)
+
+
+@pytest.mark.parametrize("high", [1e5, 1e300])
+def test_histogram_refuses_too_many_bins_before_building_any(high):
+    # 0 and 1e5 at width 0.25 would be 400,001 bins; 1e300 must not hang.
+    with pytest.raises(OutOfDomainError, match=r"needs \S+ bins of width 0\.25, more than 100000"):
+        histogram_export(_results([0.0, high]), "lc", 0.25)
+
+
+def test_histogram_bin_limit_is_inclusive():
+    bins = histogram_export(_results([0.0, (MAX_HIST_BINS - 1) * 0.25]), "lc", 0.25)
+    assert len(bins) == MAX_HIST_BINS
+    with pytest.raises(OutOfDomainError, match=f"needs {MAX_HIST_BINS + 1} bins"):
+        histogram_export(_results([0.0, MAX_HIST_BINS * 0.25]), "lc", 0.25)
+    with pytest.raises(OutOfDomainError, match="needs inf bins of width 1e-300"):
+        histogram_export(_results([-1e10, 1e10]), "lc", 1e-300)
 
 
 def test_histogram_spans_negative_values_anchored_at_zero():

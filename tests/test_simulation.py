@@ -1,13 +1,22 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from didbracket import simulation
 from didbracket.errors import InvalidScenarioError, OutOfDomainError
+from didbracket.estimation import did_of_means, normal_quantile
+from didbracket.model import PeriodSummary
 from didbracket.simulation import (
     ConfounderSpec,
     DriftSpec,
+    McReport,
     Scenario,
+    chunk_len,
     coverage_experiment,
     generate_panel,
     shipped_scenarios,
@@ -286,3 +295,241 @@ def test_mcse_scales_with_reps():
     assert large.mcse_lc < small.mcse_lc
     expected_ratio = math.sqrt(500 / 4000)
     assert large.mcse_lc / small.mcse_lc == pytest.approx(expected_ratio, rel=0.35)
+
+
+# --- batched engine against the one-replication-at-a-time oracle -------------
+#
+# The oracle is the engine as it was before replications were batched: one
+# generator per replication, one PeriodSummary per cell, scalar arithmetic.
+# Every comparison is exact (==): batching must not change a single bit.
+
+
+def _oracle_profile(scenario, u, period):
+    if scenario.time_effect == "additive":
+        return u + scenario.tau * period
+    if scenario.time_effect == "linear_interaction":
+        return u * (1.0 + scenario.gamma * period)
+    return np.exp(u) if period == 1 else u
+
+
+def _oracle_cell(values):
+    n = values.size
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return PeriodSummary(mean=float(values.mean()), se=se, total_weight=float(n))
+
+
+def _oracle_cells(scenario, rng):
+    n = scenario.n_per_cell
+    spec = scenario.confounder
+    cells = {}
+    for group in ("lc", "t", "uc"):
+        if spec.kind == "normal":
+            u0 = rng.normal(spec.param(group), spec.sd, n)
+        else:
+            u0 = rng.exponential(spec.param(group), n)
+        if scenario.drift is not None:
+            u1 = u0 + rng.normal(scenario.drift.param(group), scenario.drift.sd, n)
+        else:
+            u1 = u0
+        eps0 = rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd else np.zeros(n)
+        eps1 = rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd else np.zeros(n)
+        y0 = _oracle_profile(scenario, u0, 0) + eps0
+        y1 = _oracle_profile(scenario, u1, 1) + eps1
+        if group == "t":
+            y1 = y1 + scenario.effect
+        cells[(group, 0)] = _oracle_cell(y0)
+        cells[(group, 1)] = _oracle_cell(y1)
+    return cells
+
+
+def _oracle_reps(scenario, reps, seed):
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        yield _oracle_cells(scenario, np.random.default_rng(child))
+
+
+def _oracle_arms(cells):
+    t0, t1 = cells[("t", 0)], cells[("t", 1)]
+    out = []
+    for group in ("lc", "uc"):
+        c0, c1 = cells[(group, 0)], cells[(group, 1)]
+        point = (t1.mean - t0.mean) - (c1.mean - c0.mean)
+        se = math.sqrt(sum(c.se * c.se for c in (t0, t1, c0, c1)))
+        out.append((point, se))
+    return out
+
+
+def _oracle_report(scenario, reps, seed):
+    points = np.array([[p for p, _ in _oracle_arms(c)] for c in _oracle_reps(scenario, reps, seed)])
+    summary = []
+    for arm in points.T:
+        summary += [float(arm.mean()), float(arm.std(ddof=1) / math.sqrt(arm.size))]
+    mean_lc, mcse_lc, mean_uc, mcse_uc = summary
+    slack = 3.0 * max(mcse_lc, mcse_uc)
+    lo, hi = min(mean_lc, mean_uc), max(mean_lc, mean_uc)
+    return McReport(
+        reps=reps, true_effect=scenario.effect, mean_effect_lc=mean_lc, mcse_lc=mcse_lc,
+        mean_effect_uc=mean_uc, mcse_uc=mcse_uc,
+        bracket_holds=(lo - slack <= scenario.effect <= hi + slack),
+        flags=scenario.assumption_flags(),
+    )
+
+
+def _oracle_minmax(scenario, reps, alpha, seed):
+    z = normal_quantile(1.0 - alpha / 2.0)
+    lower, upper = [], []
+    for cells in _oracle_reps(scenario, reps, seed):
+        (p_lc, se_lc), (p_uc, se_uc) = _oracle_arms(cells)
+        lower.append(min(p_lc - z * se_lc, p_uc - z * se_uc))
+        upper.append(max(p_lc + z * se_lc, p_uc + z * se_uc))
+    return lower, upper
+
+
+def _engine_cells(scenario, reps, seed, with_se):
+    chunks = list(simulation._replicate(scenario, reps, seed, with_se))
+    means = np.concatenate([m for m, _ in chunks])
+    ses = np.concatenate([s for _, s in chunks]) if with_se else None
+    return means, ses
+
+
+def _engine_minmax(scenario, reps, alpha, seed):
+    chunks = list(simulation._minmax_intervals(scenario, reps, alpha, seed))
+    return (np.concatenate([lo for lo, _ in chunks]).tolist(),
+            np.concatenate([hi for _, hi in chunks]).tolist())
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(["normal", "exponential"]))
+    time_effect = draw(st.sampled_from(simulation.TIME_EFFECTS))
+    if kind == "normal":
+        lc, t, uc = sorted(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+        confounder = ConfounderSpec("normal", lc, t, uc, sd=draw(st.floats(0.0, 2.0)))
+    else:
+        top = 0.99 if time_effect == "convex_after" else 3.0
+        lc, t, uc = sorted(draw(st.lists(st.floats(0.01, top), min_size=3, max_size=3)))
+        confounder = ConfounderSpec("exponential", lc, t, uc)
+    drift = draw(st.none() | st.builds(
+        DriftSpec, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+        sd=st.floats(0.0, 1.0),
+    ))
+    return Scenario(
+        effect=draw(st.floats(-3.0, 3.0)),
+        confounder=confounder,
+        time_effect=time_effect,
+        noise_sd=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0)),
+        n_per_cell=draw(st.sampled_from([1, 2]) | st.integers(1, 40)),
+        tau=draw(st.floats(-2.0, 2.0)),
+        gamma=draw(st.floats(-1.0, 1.0)),
+        drift=drift,
+    )
+
+
+@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_generate_panel_matches_oracle(scenario, seed):
+    got = generate_panel(scenario, seed)
+    want = _oracle_cells(scenario, np.random.default_rng(np.random.SeedSequence(seed)))
+    assert got.cells == want
+    assert list(got.arm_points()) == [p for p, _ in _oracle_arms(want)]
+
+
+def _assert_engine_matches_oracle(scenario, reps, seed, alpha):
+    means, ses = _engine_cells(scenario, reps, seed, with_se=True)
+    means_only, no_ses = _engine_cells(scenario, reps, seed, with_se=False)
+    oracle = list(_oracle_reps(scenario, reps, seed))
+    cells = simulation.CELLS
+    assert means.tolist() == [[c[k].mean for k in cells] for c in oracle]
+    assert ses.tolist() == [[c[k].se for k in cells] for c in oracle]
+    assert means_only.tolist() == means.tolist() and no_ses is None
+    points = np.column_stack(simulation._arms(means, did_of_means)).tolist()
+    assert points == [[p for p, _ in _oracle_arms(c)] for c in oracle]
+    assert verify_bracketing(scenario, reps, seed) == _oracle_report(scenario, reps, seed)
+    assert _engine_minmax(scenario, reps, alpha, seed) == _oracle_minmax(
+        scenario, reps, alpha, seed
+    )
+
+
+@given(
+    scenario=scenarios(),
+    reps=st.integers(2, 13),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 6),
+    alpha=st.sampled_from([0.05, 0.5, 0.9]) | st.floats(0.001, 0.999),
+)
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_oracle(scenario, reps, seed, chunk, alpha):
+    # A buffer budget of `chunk` replications, so reps falls below, on and
+    # across chunk boundaries.
+    budget = chunk * len(simulation.CELLS) * 8 * scenario.n_per_cell
+    with mock.patch.object(simulation, "CHUNK_BYTES", budget):
+        assert chunk_len(scenario.n_per_cell) == chunk
+        _assert_engine_matches_oracle(scenario, reps, seed, alpha)
+
+
+@pytest.mark.parametrize("kind", ["normal", "exponential"])
+@pytest.mark.parametrize("time_effect", simulation.TIME_EFFECTS)
+@pytest.mark.parametrize("drift", [None, DriftSpec(0.0, 0.1, 0.3, sd=0.2)])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_engine_matches_oracle_on_every_model_branch(kind, time_effect, drift, noise_sd, n):
+    scales = (0.1, 0.3, 0.6) if kind == "exponential" else (-0.5, 0.0, 0.8)
+    scenario = Scenario(
+        effect=1.0, confounder=ConfounderSpec(kind, *scales, sd=0.7),
+        time_effect=time_effect, noise_sd=noise_sd, n_per_cell=n, tau=-0.4, gamma=0.6,
+        drift=drift,
+    )
+    _assert_engine_matches_oracle(scenario, reps=5, seed=2024, alpha=0.1)
+
+
+@pytest.mark.parametrize("n", [500, 10_000])
+def test_engine_matches_oracle_around_the_real_chunk_length(n):
+    # The module's own byte budget: reps one below, equal to and one above a
+    # chunk, then three chunks; 10,000 draws a cell reduces long rows too.
+    scenario = linear_scenario(n=n)
+    size = chunk_len(n)
+    assert size <= 12
+    for reps in (size - 1, size, size + 1, 3 * size):
+        _assert_engine_matches_oracle(scenario, max(reps, 2), seed=reps, alpha=0.05)
+
+
+def test_engine_keeps_min_max_semantics_when_one_arm_overflows():
+    # exp() of the upper group's drifted confounder overflows, so that arm's
+    # interval is NaN; min() and max() then keep the lower arm's endpoints,
+    # as the one-replication loop did (np.minimum would give NaN).
+    scenario = Scenario(
+        effect=1.0, confounder=ConfounderSpec("normal", 0.0, 0.5, 1.0, sd=0.5),
+        time_effect="convex_after", noise_sd=0.5, n_per_cell=20,
+        drift=DriftSpec(0.0, 0.0, 800.0),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _engine_minmax(scenario, 100, 0.05, seed=4)
+        want = _oracle_minmax(scenario, 100, 0.05, seed=4)
+        result = coverage_experiment(scenario, 100, 0.05, seed=4)
+    assert got == want
+    assert all(map(math.isfinite, got[0] + got[1]))
+    assert result.coverage > 0
+
+
+def test_coverage_experiment_matches_oracle():
+    for name, scenario in shipped_scenarios().items():
+        for alpha in (0.05, 0.5, 0.9):
+            lower, upper = _oracle_minmax(scenario, 100, alpha, seed=3)
+            hits = sum(lo <= scenario.effect <= hi for lo, hi in zip(lower, upper))
+            result = coverage_experiment(scenario, 100, alpha, seed=3)
+            assert result.coverage == hits / 100, (name, alpha)
+
+
+def test_memory_does_not_grow_with_reps():
+    scenario = shipped_scenarios()["linear_interaction"]
+    verify_bracketing(scenario, 2, seed=1)  # warm caches outside the measurement
+
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            verify_bracketing(scenario, reps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(8_000)
+    assert large - small <= 512 * 1024, (small, large)
