@@ -45,20 +45,29 @@ class ControlGroups:
 
 
 def classify_candidates(
-    panel: PanelDataset, treated: str, candidates, prestudy: PeriodRange
+    panel: PanelDataset, treated: str, candidates, prestudy: PeriodRange, means=None
 ) -> ControlGroups:
     """Split candidates by their pre-study mean relative to the treated unit's.
 
     Strictly below goes to the lower group, strictly above to the upper
     group, exact ties stay unassigned. Either side may come back empty;
     use :func:`construct_control_groups` when a full bracket is required.
+
+    ``means`` optionally maps the treated unit and every candidate to the
+    pre-study mean already computed for it; without it each mean is
+    ``weighted_period_mean(panel, {unit}, prestudy).mean``.
     """
-    treated_mean = weighted_period_mean(panel, {treated}, prestudy).mean
+    if means is None:
+        def mean_of(unit):
+            return weighted_period_mean(panel, {unit}, prestudy).mean
+    else:
+        mean_of = means.__getitem__
+    treated_mean = mean_of(treated)
     lower, upper, ties = set(), set(), set()
-    means = []
+    candidate_means = []
     for unit in sorted(set(candidates) - {treated}):
-        mean = weighted_period_mean(panel, {unit}, prestudy).mean
-        means.append((unit, mean))
+        mean = mean_of(unit)
+        candidate_means.append((unit, mean))
         if mean < treated_mean:
             lower.add(unit)
         elif mean > treated_mean:
@@ -69,7 +78,7 @@ def classify_candidates(
         lower=frozenset(lower),
         upper=frozenset(upper),
         treated_prestudy_mean=treated_mean,
-        candidate_means=tuple(means),
+        candidate_means=tuple(candidate_means),
         ties=frozenset(ties),
     )
 
@@ -138,18 +147,29 @@ def minmax_ci(ci_a: ConfInterval, ci_b: ConfInterval) -> ConfInterval:
 
 
 def arm_cells(
-    panel: PanelDataset, treated: str, controls, before: PeriodRange, after: PeriodRange
+    panel: PanelDataset,
+    treated: str,
+    controls,
+    before: PeriodRange,
+    after: PeriodRange,
+    summary=None,
 ) -> tuple:
     """The four DiD cells of one arm: (t_before, t_after, c_before, c_after).
 
     The one place both :func:`arm_estimate` and the placebo engine get
     their cells from, so a placebo point equals the analysis point exactly.
+    ``summary(group, period)`` stands in for ``weighted_period_mean(panel,
+    group, period)``; the placebo engine passes its memo of it, which
+    returns the same values.
     """
+    if summary is None:
+        def summary(group, period):
+            return weighted_period_mean(panel, group, period)
     return (
-        weighted_period_mean(panel, {treated}, before),
-        weighted_period_mean(panel, {treated}, after),
-        weighted_period_mean(panel, controls, before),
-        weighted_period_mean(panel, controls, after),
+        summary({treated}, before),
+        summary({treated}, after),
+        summary(controls, before),
+        summary(controls, after),
     )
 
 

@@ -4,7 +4,8 @@ Configuration comes from defaults, then an optional config file, then
 flags (flags win). Flags are plain strings; ``io.config_from_values``
 types and checks every value, before any input file is read. Commands
 compute everything and return their files; ``main`` writes them only
-once the command has finished, so a failed run writes nothing. Exit
+once the command has finished, all or none (``io.write_files``), so a
+failed run leaves no output directory and no partial one. Exit
 codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant failure. Errors print one machine-readable line
 ``Class: message`` on stderr.
@@ -304,8 +305,7 @@ def main(argv=None) -> int:
         command, config = args.pop("command"), args.pop("config")
         cfg = dio.load_config(config, {k: v for k, v in args.items() if v is not None})
         files, stdout = _COMMANDS[command][0](cfg)
-        for name, text in files.items():
-            dio.atomic_write_text(Path(cfg.out_dir) / name, text)
+        dio.write_files(cfg.out_dir, files)
         sys.stdout.write(stdout)
         return 0
     except Exception as exc:

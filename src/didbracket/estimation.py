@@ -144,17 +144,18 @@ def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> Per
     for unit in units:
         row = panel.row(unit)
         for year in years:
-            rec = row.get(year)
-            if rec is None:
+            cell = row.get(year)
+            if cell is None:
                 missing.append((unit, year))
                 continue
-            w = float(rec.population)
+            rate, population, se, _ = cell
+            w = float(population)
             total_weight += w
-            weighted_sum += w * rec.rate
-            if rec.se is None:
+            weighted_sum += w * rate
+            if se is None:
                 all_se = False
             elif all_se:
-                var_sum += (w * rec.se) ** 2
+                var_sum += (w * se) ** 2
     if missing:
         raise MissingDataError(missing)
     mean = weighted_sum / total_weight

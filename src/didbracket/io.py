@@ -14,6 +14,7 @@ import io as _io
 import json
 import math
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -34,9 +35,9 @@ from .model import (
     AdjacencyGraph,
     BracketReport,
     PanelDataset,
-    PanelRecord,
     PeriodRange,
     StudyDesign,
+    check_record_values,
 )
 from .simulation import ConfounderSpec, DriftSpec, Scenario
 
@@ -57,19 +58,19 @@ def resolve_data_path(value, default_name: str) -> Path:
     return Path(value)
 
 
-def _parse_float(text: str, path, line_no: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(path, line_no, f"column {column!r}: not a number: {text!r}") from None
-    return value
-
-
-def _parse_int(text: str, path, line_no: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(path, line_no, f"column {column!r}: not an integer: {text!r}") from None
+def _conversion_error(path, line_no: int, row, idx) -> ParseError:
+    """The ParseError for a row whose values do not all convert, naming the first bad column."""
+    for column, kind, noun in (("year", int, "an integer"), ("rate", float, "a number"),
+                               ("population", int, "an integer"), ("se", float, "a number"),
+                               ("deaths", int, "an integer")):
+        i = idx.get(column)
+        if i is None or (column in PANEL_OPTIONAL and not row[i].strip()):
+            continue
+        try:
+            kind(row[i])
+        except ValueError:
+            return ParseError(path, line_no, f"column {column!r}: not {noun}: {row[i]!r}")
+    raise InvariantError(f"{path}:{line_no}: no column fails to convert")
 
 
 def parse_panel_csv(path) -> PanelDataset:
@@ -78,7 +79,12 @@ def parse_panel_csv(path) -> PanelDataset:
     Header required; columns must be unit,year,rate,population plus
     optionally se and deaths. Rows carrying deaths but no se get the
     Poisson-model se derived for them. Any malformed row aborts with its
-    line number; the value ranges are PanelRecord's own checks.
+    line number; the value ranges are ``model.check_record_values``. A
+    duplicate (unit, year) is reported once every row has parsed, so a
+    later malformed row is reported first.
+
+    The rows go straight into the panel as ``(rate, population, se,
+    deaths)`` tuples; no PanelRecord is built.
     """
     path = Path(path)
     if not path.exists():
@@ -98,56 +104,44 @@ def parse_panel_csv(path) -> PanelDataset:
                 f"optional {PANEL_OPTIONAL}; missing={missing} unknown={unknown}"
             )
         idx = {c: i for i, c in enumerate(cols)}
-        records = []
+        width = len(cols)
+        i_unit, i_year, i_rate, i_pop = (idx[c] for c in PANEL_REQUIRED)
+        i_se, i_deaths = idx.get("se"), idx.get("deaths")
+        rows = {}
+        duplicate = None
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if len(row) != width:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
+            unit = row[i_unit].strip()
+            if not unit and all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(cols):
-                raise ParseError(path, line_no, f"expected {len(cols)} fields, got {len(row)}")
-            year = _parse_int(row[idx["year"]], path, line_no, "year")
-            rate = _parse_float(row[idx["rate"]], path, line_no, "rate")
-            population = _parse_int(row[idx["population"]], path, line_no, "population")
-            se = None
-            if "se" in idx and row[idx["se"]].strip():
-                se = _parse_float(row[idx["se"]], path, line_no, "se")
-            deaths = None
-            if "deaths" in idx and row[idx["deaths"]].strip():
-                deaths = _parse_int(row[idx["deaths"]], path, line_no, "deaths")
+            try:
+                year = int(row[i_year])
+                rate = float(row[i_rate])
+                population = int(row[i_pop])
+                se = row[i_se] if i_se is not None else ""
+                se = float(se) if se.strip() else None
+                deaths = row[i_deaths] if i_deaths is not None else ""
+                deaths = int(deaths) if deaths.strip() else None
+            except ValueError:
+                raise _conversion_error(path, line_no, row, idx) from None
             try:
                 if se is None and deaths is not None:
                     se = poisson_rate_se(deaths, population)
-                records.append(
-                    PanelRecord(
-                        unit_id=row[idx["unit"]].strip(), year=year, rate=rate,
-                        population=population, se=se, deaths=deaths,
-                    )
-                )
+                check_record_values(unit, year, rate, population, se, deaths)
             except DataError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-    try:
-        return PanelDataset(records)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def write_panel_csv(panel: PanelDataset, path) -> None:
-    """Inverse of parse_panel_csv for valid panels (field-for-field)."""
-    rows = sorted(panel.records, key=lambda r: (r.unit_id, r.year))
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit", "year", "rate", "se", "deaths", "population"])
-    for r in rows:
-        writer.writerow(
-            [
-                r.unit_id,
-                r.year,
-                format_number(r.rate),
-                "" if r.se is None else format_number(r.se),
-                "" if r.deaths is None else r.deaths,
-                r.population,
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+            unit_row = rows.get(unit)
+            if unit_row is None:
+                unit_row = rows[unit] = {}
+            elif year in unit_row and duplicate is None:
+                duplicate = (unit, year)
+            unit_row[year] = (rate, population, se, deaths)
+    if duplicate is not None:
+        raise DataError(f"{path}: duplicate record for {duplicate[0]} {duplicate[1]}")
+    return PanelDataset(rows=rows)
 
 
 def parse_adjacency_csv(path) -> AdjacencyGraph:
@@ -299,6 +293,14 @@ def config_from_values(values: dict) -> AnalysisConfig:
         raise ConfigError(f"alpha must be finite and in (0, 1), got {cfg.alpha}")
     if not (math.isfinite(cfg.bin_width) and cfg.bin_width > 0):
         raise ConfigError(f"bin_width must be finite and positive, got {cfg.bin_width}")
+    periods = [(key, getattr(cfg, key)) for key in ("prestudy", "before", "after")]
+    periods = [(key, period) for key, period in periods if period is not None]
+    for (key_a, a), (key_b, b) in zip(periods, periods[1:]):
+        if a.end_year >= b.start_year:
+            raise ConfigError(
+                f"periods must be ordered prestudy < before < after: "
+                f"{key_a} {a} does not precede {key_b} {b}"
+            )
     return cfg
 
 
@@ -430,6 +432,41 @@ def atomic_write_text(path, text: str) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
+
+
+def write_files(out_dir, files: dict) -> None:
+    """Write ``{name: text}`` into ``out_dir``, all of the files or none of them.
+
+    The files are staged (each with :func:`atomic_write_text`) in a
+    temporary directory. A new ``out_dir`` is staged beside the outermost
+    directory the call creates, and that is renamed into place in one
+    step; into an existing ``out_dir`` the files staged beside it are moved
+    one by one with ``os.replace``. A failed write removes the staging
+    directory, so it leaves no partial output directory and no temporary
+    file behind.
+    """
+    out_dir = Path(out_dir)
+    top = out_dir  # the outermost directory this call creates, if any
+    while not top.parent.exists():
+        top = top.parent
+    # mkdir, not mkdtemp: the renamed directory keeps the umask's permissions.
+    stage = top.parent / f".{top.name}.{os.urandom(6).hex()}.tmp"
+    stage.mkdir()
+    try:
+        if out_dir.exists():
+            for name, text in files.items():
+                atomic_write_text(stage / name, text)
+            for name in files:
+                os.replace(stage / name, out_dir / name)
+            stage.rmdir()
+        else:
+            target = stage / out_dir.relative_to(top)
+            for name, text in files.items():
+                atomic_write_text(target / name, text)
+            os.rename(stage, top)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
         raise
 
 

@@ -14,6 +14,25 @@ from typing import Iterator, Mapping, Optional
 from .errors import DataError, InvariantError
 
 
+def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
+    """Raise DataError unless one unit-year's values are in range.
+
+    The one place the value ranges of a panel row are checked: a
+    PanelRecord runs it on construction and ``parse_panel_csv`` once per
+    row it reads.
+    """
+    if not unit_id:
+        raise DataError("unit_id must be a nonempty string")
+    if not math.isfinite(rate) or rate < 0:
+        raise DataError(f"{unit_id} {year}: rate must be finite and >= 0")
+    if population <= 0:
+        raise DataError(f"{unit_id} {year}: population must be positive")
+    if se is not None and (not math.isfinite(se) or se < 0):
+        raise DataError(f"{unit_id} {year}: se must be finite and >= 0")
+    if deaths is not None and deaths < 0:
+        raise DataError(f"{unit_id} {year}: deaths must be >= 0")
+
+
 @dataclass(frozen=True)
 class PanelRecord:
     """One unit-year observation: an outcome rate per 100,000 persons."""
@@ -26,73 +45,82 @@ class PanelRecord:
     deaths: Optional[int] = None
 
     def __post_init__(self):
-        if not self.unit_id:
-            raise DataError("unit_id must be a nonempty string")
-        if not math.isfinite(self.rate) or self.rate < 0:
-            raise DataError(f"{self.unit_id} {self.year}: rate must be finite and >= 0")
-        if self.population <= 0:
-            raise DataError(f"{self.unit_id} {self.year}: population must be positive")
-        if self.se is not None and (not math.isfinite(self.se) or self.se < 0):
-            raise DataError(f"{self.unit_id} {self.year}: se must be finite and >= 0")
-        if self.deaths is not None and self.deaths < 0:
-            raise DataError(f"{self.unit_id} {self.year}: deaths must be >= 0")
+        check_record_values(
+            self.unit_id, self.year, self.rate, self.population, self.se, self.deaths
+        )
 
 
 class PanelDataset:
-    """Immutable collection of unit-year records with unique (unit, year) keys.
+    """Immutable unit-year panel with unique (unit, year) keys.
 
-    Records are indexed by unit, then by year, so a group summary fetches
-    each unit's row once and reads its years from it.
+    Each unit's row is a plain ``{year: (rate, population, se, deaths)}``
+    map, so a group summary fetches a unit's row once and reads its years
+    from it. PanelRecord objects are built only when asked for, by
+    :attr:`records` and :meth:`get`.
+
+    Build it from PanelRecords, or from ``rows``, a ``{unit: {year: (rate,
+    population, se, deaths)}}`` map whose values already passed
+    :func:`check_record_values` (as ``parse_panel_csv`` gives it); the
+    panel takes ownership of ``rows``.
     """
 
-    __slots__ = ("_records", "_index", "_units")
+    __slots__ = ("_rows", "_units", "_len")
 
-    def __init__(self, records):
-        recs = tuple(records)
-        rows = {}
-        for r in recs:
-            row = rows.get(r.unit_id)
-            if row is None:
-                row = rows[r.unit_id] = {}
-            elif r.year in row:
-                raise DataError(f"duplicate record for {r.unit_id} {r.year}")
-            row[r.year] = r
-        object.__setattr__(self, "_records", recs)
+    def __init__(self, records=(), rows=None):
+        if rows is None:
+            rows = {}
+            for r in records:
+                row = rows.get(r.unit_id)
+                if row is None:
+                    row = rows[r.unit_id] = {}
+                elif r.year in row:
+                    raise DataError(f"duplicate record for {r.unit_id} {r.year}")
+                row[r.year] = (r.rate, r.population, r.se, r.deaths)
         object.__setattr__(
-            self, "_index", {unit: MappingProxyType(row) for unit, row in rows.items()}
+            self, "_rows", {unit: MappingProxyType(row) for unit, row in rows.items()}
         )
         object.__setattr__(self, "_units", frozenset(rows))
+        object.__setattr__(self, "_len", sum(map(len, rows.values())))
 
     def __reduce__(self):
-        # The read-only rows cannot be pickled; rebuild them from the records.
-        return (PanelDataset, (self._records,))
+        # The read-only rows cannot be pickled; rebuild them from plain dicts.
+        return (PanelDataset, ((), {unit: dict(row) for unit, row in self._rows.items()}))
 
     @property
     def records(self) -> tuple:
-        return self._records
+        """Every record as a PanelRecord, units sorted and years ascending.
+
+        The records are built on each access, so this order does not
+        depend on the order of the input file or the records given.
+        """
+        return tuple(
+            PanelRecord(unit, year, *row[year])
+            for unit, row in sorted(self._rows.items())
+            for year in sorted(row)
+        )
 
     @property
     def units(self) -> frozenset:
         return self._units
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key) -> bool:
-        return isinstance(key, tuple) and len(key) == 2 and self.has(*key)
+        return self._len
 
     def row(self, unit_id: str) -> Mapping:
-        """Read-only ``{year: record}`` map of one unit; empty for an unknown unit."""
-        return self._index.get(unit_id, _EMPTY_ROW)
+        """Read-only ``{year: (rate, population, se, deaths)}`` map of one unit.
+
+        Empty for an unknown unit.
+        """
+        return self._rows.get(unit_id, _EMPTY_ROW)
 
     def get(self, unit_id: str, year: int) -> PanelRecord:
         try:
-            return self._index[unit_id][year]
+            return PanelRecord(unit_id, year, *self._rows[unit_id][year])
         except KeyError:
             raise DataError(f"no record for {unit_id} {year}") from None
 
     def has(self, unit_id: str, year: int) -> bool:
-        return year in self._index.get(unit_id, _EMPTY_ROW)
+        return year in self._rows.get(unit_id, _EMPTY_ROW)
 
 
 _EMPTY_ROW = MappingProxyType({})

@@ -8,8 +8,10 @@ errors are not required: this is permutation-style inference on points.
 
 A study costs O(units x degree): each unit's candidates are one lookup in
 the adjacency's neighbour map, and each group summary reads one row per
-unit. ``AdjacencyGraph`` lives in :mod:`didbracket.model` and is
-re-exported here.
+unit. Single-unit summaries (every unit's pre-study mean, the sham-treated
+unit's before and after cells) are computed once a study; see
+:func:`_single_unit_memo`. ``AdjacencyGraph`` lives in
+:mod:`didbracket.model` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 
 from .bracketing import arm_cells, classify_candidates
 from .errors import ArmUnavailableError, DataError, MissingDataError, OutOfDomainError
-from .estimation import did_point
+from .estimation import did_point, weighted_period_mean
 from .model import AdjacencyGraph, PanelDataset, PeriodRange
 
 ARMS = ("lc", "uc")
@@ -51,6 +53,36 @@ class PlaceboResult:
         return self.effect_lc if arm == "lc" else self.effect_uc
 
 
+def _single_unit_memo(panel: PanelDataset):
+    """``weighted_period_mean(panel, group, period)`` that computes a one-unit group once.
+
+    Exact: a one-unit summary adds that unit's records in ascending years,
+    whichever placebo unit asks for it, so the kept value is the value a
+    fresh call returns. A MissingDataError is kept too and raised again on
+    every later ask. Groups of two or more units are always recomputed:
+    their sum runs over the units in sorted order, which a combination of
+    kept one-unit sums would not reproduce bit for bit.
+    """
+    kept = {}
+
+    def summary(group, period):
+        if len(group) != 1:
+            return weighted_period_mean(panel, group, period)
+        key = (next(iter(group)), period)
+        value = kept.get(key)
+        if value is None:
+            try:
+                value = weighted_period_mean(panel, group, period)
+            except MissingDataError as exc:
+                value = exc
+            kept[key] = value
+        if isinstance(value, MissingDataError):
+            raise value.with_traceback(None)
+        return value
+
+    return summary
+
+
 def run_placebo_study(
     panel: PanelDataset,
     adjacency: AdjacencyGraph,
@@ -67,6 +99,7 @@ def run_placebo_study(
     are excluded with a reason instead of aborting the study.
     """
     excluded = frozenset(exclusions)
+    summary = _single_unit_memo(panel)
     results = []
     for unit in sorted(panel.units):
         if unit in excluded:
@@ -74,14 +107,15 @@ def run_placebo_study(
             continue
         candidates = adjacency.neighbors(unit) & panel.units
         try:
-            groups = classify_candidates(panel, unit, candidates, prestudy)
+            means = {u: summary({u}, prestudy).mean for u in (unit, *candidates)}
+            groups = classify_candidates(panel, unit, candidates, prestudy, means)
             effect_lc = (
-                did_point(*arm_cells(panel, unit, groups.lower, before, after))
+                did_point(*arm_cells(panel, unit, groups.lower, before, after, summary))
                 if groups.lower
                 else None
             )
             effect_uc = (
-                did_point(*arm_cells(panel, unit, groups.upper, before, after))
+                did_point(*arm_cells(panel, unit, groups.upper, before, after, summary))
                 if groups.upper
                 else None
             )

@@ -203,21 +203,44 @@ def _reduce(buf: np.ndarray, with_se: bool) -> tuple:
     return means, buf.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
+def _check_finite(cells: np.ndarray, what: str, start: int) -> None:
+    """Raise OutOfDomainError naming the first replication and cell that is not finite."""
+    bad = ~np.isfinite(cells)
+    if bad.any():
+        rep, k = (int(i) for i in np.argwhere(bad)[0])
+        group, period = CELLS[k]
+        raise OutOfDomainError(
+            f"replication {start + rep}: cell {group}{period} {what} is {float(cells[rep, k])!r}; "
+            "the scenario's outcomes overflow float64"
+        )
+
+
 def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
     """Yield (means, ses) for each chunk of ``reps`` replications.
 
     Replication i draws from the i-th PCG64 child of ``SeedSequence(seed)``,
     whatever the chunk length: children are spawned chunk by chunk, and
     successive ``spawn`` calls continue the same sequence of children.
+
+    A scenario whose outcomes overflow (``exp`` of a large confounder)
+    raises OutOfDomainError naming the first replication and cell whose
+    mean or SE is not finite; numpy's overflow warnings are silenced, not
+    printed. Underflow is left alone: ``exp`` of a very negative value is
+    a valid 0.0.
     """
     n = scenario.n_per_cell
     root = np.random.SeedSequence(seed)
     buf = np.empty((min(reps, chunk_len(n)), len(CELLS), n))
     for start in range(0, reps, len(buf)):
         chunk = buf[: min(len(buf), reps - start)]
-        for out, child in zip(chunk, root.spawn(len(chunk))):
-            _fill(scenario, np.random.default_rng(child), out)
-        yield _reduce(chunk, with_se)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out, child in zip(chunk, root.spawn(len(chunk))):
+                _fill(scenario, np.random.default_rng(child), out)
+            means, ses = _reduce(chunk, with_se)
+        _check_finite(means, "mean", start)
+        if ses is not None:
+            _check_finite(ses, "SE", start)
+        yield means, ses
 
 
 def generate_panel(scenario: Scenario, seed: int) -> SimulatedPanel:
@@ -316,9 +339,9 @@ def _minmax_intervals(scenario: Scenario, reps: int, alpha: float, seed: int):
     """Yield each chunk's min-max intervals: (lower, upper), one entry a replication.
 
     Each arm's interval has wald_ci's endpoints around the arm's point, with
-    did_se's SE; the arms combine as in minmax_ci, by min() of the lower
-    endpoints and max() of the upper ones. np.where keeps min()'s choice
-    when one arm is NaN (an overflowed cell); np.minimum would give NaN.
+    did_se's SE; the arms combine as in minmax_ci, by the minimum of the
+    lower endpoints and the maximum of the upper ones. Every cell is finite
+    (``_replicate`` checks), so no endpoint is NaN.
     """
     z = wald_z(alpha)
     for means, ses in _replicate(scenario, reps, seed, with_se=True):
@@ -327,10 +350,7 @@ def _minmax_intervals(scenario: Scenario, reps: int, alpha: float, seed: int):
             half = z * np.sqrt(variance)
             ends.append((point - half, point + half))
         (lower_lc, upper_lc), (lower_uc, upper_uc) = ends
-        yield (
-            np.where(lower_uc < lower_lc, lower_uc, lower_lc),
-            np.where(upper_uc > upper_lc, upper_uc, upper_lc),
-        )
+        yield np.minimum(lower_lc, lower_uc), np.maximum(upper_lc, upper_uc)
 
 
 def coverage_experiment(

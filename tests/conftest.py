@@ -1,6 +1,9 @@
+import csv
+import io
+
 import pytest
 
-from didbracket.io import bundled_path, parse_panel_csv
+from didbracket.io import atomic_write_text, bundled_path, format_number, parse_panel_csv
 from didbracket.model import PanelDataset, PanelRecord, PeriodRange, StudyDesign
 
 LOWER = frozenset({"Iowa", "Kansas", "Kentucky", "Nebraska", "Oklahoma"})
@@ -34,6 +37,25 @@ def make_panel(cells, se=0.1, population=1_000_000):
                             population=population)
             )
     return PanelDataset(records)
+
+
+def write_panel_csv(panel: PanelDataset, path) -> None:
+    """Inverse of parse_panel_csv for valid panels (field-for-field)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["unit", "year", "rate", "se", "deaths", "population"])
+    for r in panel.records:
+        writer.writerow(
+            [
+                r.unit_id,
+                r.year,
+                format_number(r.rate),
+                "" if r.se is None else format_number(r.se),
+                "" if r.deaths is None else r.deaths,
+                r.population,
+            ]
+        )
+    atomic_write_text(path, buf.getvalue())
 
 
 def pytest_configure(config):

@@ -3,13 +3,16 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_panel_csv
 from didbracket import cli
+from didbracket import io as dio
 from didbracket.errors import ConfigError, MissingSEError, ParseError, SchemaError
 from didbracket.io import (
     AnalysisConfig,
@@ -24,7 +27,6 @@ from didbracket.io import (
     parse_period,
     round_half_up,
     to_json,
-    write_panel_csv,
 )
 from didbracket.model import PanelDataset, PanelRecord, PeriodRange
 from didbracket.placebo import HistBin
@@ -202,9 +204,15 @@ def test_booleans_are_only_true_or_false(value):
 
 _WORDS = st.text("abXY09 _./#=-", max_size=12).filter(lambda t: t == t.strip())
 _ITEMS = st.lists(_WORDS.filter(bool), max_size=4).map(tuple)
-_PERIODS = st.none() | st.tuples(st.integers(0, 9999), st.integers(0, 9999)).map(
-    lambda ab: PeriodRange(min(ab), max(ab))
-)
+# prestudy, before and after in that order (the config rejects any other),
+# each of them possibly unset.
+_PERIODS = st.tuples(
+    st.lists(st.integers(0, 9999), min_size=6, max_size=6, unique=True).map(sorted),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+).map(lambda yb: {
+    key: PeriodRange(*yb[0][2 * i: 2 * i + 2]) if yb[1][i] else None
+    for i, key in enumerate(("prestudy", "before", "after"))
+})
 
 
 def _config_text(cfg: AnalysisConfig, order) -> str:
@@ -233,7 +241,6 @@ def _config_text(cfg: AnalysisConfig, order) -> str:
         panel=_WORDS, adjacency=_WORDS, out_dir=_WORDS, scenario=_WORDS,
         treated=st.none() | _WORDS, rank_unit=st.none() | _WORDS,
         candidates=_ITEMS, lower_controls=_ITEMS, upper_controls=_ITEMS, exclusions=_ITEMS,
-        prestudy=_PERIODS, before=_PERIODS, after=_PERIODS,
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         tau=st.floats(allow_nan=False),
         bin_width=st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -242,11 +249,13 @@ def _config_text(cfg: AnalysisConfig, order) -> str:
         mode=st.sampled_from(["bracket", "coverage", "synthetic_control"]),
         emit_plots=st.booleans(),
     ),
+    periods=_PERIODS,
     order=st.randoms(use_true_random=False),
 )
 @settings(max_examples=150, deadline=None)
-def test_config_text_round_trip(tmp_path_factory, cfg, order):
+def test_config_text_round_trip(tmp_path_factory, cfg, periods, order):
     # Periods use non-negative years: the grammar reads a leading '-' as the separator.
+    cfg = dataclasses.replace(cfg, **periods)
     path = tmp_path_factory.mktemp("cfg") / "run.conf"
     path.write_text(_config_text(cfg, order), encoding="utf-8")
     assert load_config(path) == cfg
@@ -493,14 +502,20 @@ def test_placebo_outlying_rate_exits_3_before_any_output(tmp_path, capsys, bundl
     assert not out.exists()
 
 
-def test_invalid_design_data_exits_3(tmp_path, capsys):
-    # after period overlapping before -> design violation -> data error
+def test_overlapping_periods_exit_2_before_any_input_is_read(tmp_path, capsys):
+    # The after period overlaps the before period: a configuration error,
+    # reported before the (missing) panel is opened.
+    out = tmp_path / "out"
     code = run_cli(
         ["analyze", "--config", str(PAPER_CONFIG), "--after", "2007-2016",
-         "--out-dir", str(tmp_path / "out")]
+         "--panel", str(tmp_path / "not_read.csv"), "--out-dir", str(out)]
     )
-    assert code == 3
-    assert "PeriodOverlap" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "Config: periods must be ordered prestudy < before < after: "
+        "before 1999-2007 does not precede after 2007-2016\n"
+    )
+    assert not out.exists()
 
 
 # --- scenario files ------------------------------------------------------------
@@ -552,6 +567,33 @@ def test_simulate_with_scenario_file(tmp_path):
     assert code == 0
     payload = json.loads((out / "mc_report.json").read_text())
     assert payload["bracket_holds"] is True
+
+
+@pytest.mark.parametrize("mode", ["bracket", "coverage"])
+def test_overflowing_scenario_exits_3_with_one_line(tmp_path, mode):
+    # exp() of the upper group's drifted confounder overflows float64.
+    scenario = tmp_path / "overflow.tomlish"
+    scenario.write_text(
+        "effect = 1.0\nconfounder_kind = normal\nconfounder_lc = 0.0\n"
+        "confounder_t = 0.5\nconfounder_uc = 1.0\nconfounder_sd = 0.5\n"
+        "time_effect = convex_after\nnoise_sd = 0.5\nn_per_cell = 20\n"
+        "drift_lc = 0.0\ndrift_t = 0.0\ndrift_uc = 800\ndrift_sd = 0.0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second line
+        code, stdout, stderr = run_captured(
+            ["simulate", "--mode", mode, "--scenario", str(scenario), "--reps", "200",
+             "--out-dir", str(out)]
+        )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        "OutOfDomain: replication 0: cell uc1 mean is inf; "
+        "the scenario's outcomes overflow float64\n"
+    )
+    assert not out.exists()
 
 
 def test_simulate_unknown_scenario_exits_2(tmp_path, capsys):
@@ -649,6 +691,31 @@ def test_malformed_flag_exits_2_with_one_line(tmp_path_factory, data, flag):
     scratch = tmp_path_factory.mktemp("fuzz")
     code, stdout, stderr = run_captured([*_base_argv(command, scratch), f"{flag}={value}"])
     assert_config_error(code, stdout, stderr, scratch / "out")
+
+
+_period = st.tuples(st.integers(1900, 2100), st.integers(0, 12)).map(
+    lambda p: f"{p[0]}-{p[0] + p[1]}"
+)
+
+
+def _in_order(prestudy, before, after):
+    ends = [parse_period(p) for p in (prestudy, before, after)]
+    return all(a.end_year < b.start_year for a, b in zip(ends, ends[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "diagnose", "placebo"]),
+    periods=st.tuples(_period, _period, _period).filter(lambda p: not _in_order(*p)),
+)
+def test_periods_out_of_order_exit_2_with_one_line(tmp_path_factory, command, periods):
+    scratch = tmp_path_factory.mktemp("fuzz")
+    prestudy, before, after = periods
+    argv = [*_base_argv(command, scratch), "--prestudy", prestudy, "--before", before,
+            "--after", after]
+    code, stdout, stderr = run_captured(argv)
+    assert_config_error(code, stdout, stderr, scratch / "out")
+    assert stderr.startswith("Config: periods must be ordered prestudy < before < after: ")
 
 
 @settings(max_examples=100, deadline=None)
@@ -772,3 +839,53 @@ def test_diagnose_failing_after_its_pattern_tests_writes_nothing(tmp_path, monke
     assert stdout == ""
     assert stderr == "MissingSE: treated group lacks SEs in 1999\n"
     assert not out.exists()
+
+
+def _fail_second_write(monkeypatch):
+    """Make the second atomic_write_text of a run raise OSError."""
+    original, calls = dio.atomic_write_text, []
+
+    def write(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        original(path, text)
+
+    monkeypatch.setattr(dio, "atomic_write_text", write)
+    return calls
+
+
+@pytest.mark.parametrize("out_dir", ["out", "new/nested/out"])
+def test_failed_write_leaves_no_new_directory(tmp_path, monkeypatch, out_dir):
+    calls = _fail_second_write(monkeypatch)
+    (tmp_path / "run").mkdir()
+    out = tmp_path / "run" / out_dir
+    code, stdout, stderr = run_captured(
+        ["analyze", "--config", str(PAPER_CONFIG), "--out-dir", str(out)]
+    )
+    assert len(calls) == 2
+    assert code == 4 and stdout == ""
+    assert stderr == "Internal: OSError: [Errno 28] No space left on device\n"
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_failed_write_keeps_an_existing_directory_as_it_was(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.txt").write_text("earlier run\n", encoding="utf-8")
+    _fail_second_write(monkeypatch)
+    code, _, _ = run_captured(["analyze", "--config", str(PAPER_CONFIG), "--out-dir", str(out)])
+    assert code == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert [p.name for p in out.iterdir()] == ["summary.txt"]
+    assert (out / "summary.txt").read_text(encoding="utf-8") == "earlier run\n"
+
+
+def test_write_files_into_new_and_existing_directories(tmp_path):
+    nested = tmp_path / "a" / "b" / "c"
+    dio.write_files(nested, {"x.txt": "1\n", "y.txt": "2\n"})
+    dio.write_files(nested, {"y.txt": "3\n", "z.txt": "4\n"})
+    assert {p.name: p.read_text(encoding="utf-8") for p in nested.iterdir()} == {
+        "x.txt": "1\n", "y.txt": "3\n", "z.txt": "4\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["b"]

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_panel
-from didbracket.bracketing import full_analysis
-from didbracket.errors import ArmUnavailableError, DataError, OutOfDomainError
-from didbracket.io import bundled_path, parse_adjacency_csv
+from didbracket import bracketing, estimation, placebo
+from didbracket.bracketing import arm_cells, classify_candidates, full_analysis
+from didbracket.errors import ArmUnavailableError, DataError, MissingDataError, OutOfDomainError
+from didbracket.estimation import did_point
+from didbracket.io import bundled_path, parse_adjacency_csv, parse_panel_csv
 from didbracket.model import PanelDataset, PeriodRange
 from didbracket.placebo import (
     MAX_HIST_BINS,
@@ -17,6 +19,7 @@ from didbracket.placebo import (
     rank_effect,
     run_placebo_study,
 )
+from test_golden import _write_ring_inputs
 
 PRESTUDY = PeriodRange(1994, 1998)
 BEFORE = PeriodRange(1999, 2007)
@@ -197,3 +200,93 @@ def test_histogram_spans_negative_values_anchored_at_zero():
 def test_histogram_counts_sum_to_included(values, width):
     bins = histogram_export(_results(values), "lc", width)
     assert sum(b.count for b in bins) == len(values)
+
+
+def _oracle_study(panel, adjacency, prestudy, before, after, exclusions=()):
+    """The study loop without its memo: every summary computed afresh."""
+    excluded = frozenset(exclusions)
+    results = []
+    for unit in sorted(panel.units):
+        if unit in excluded:
+            results.append(PlaceboResult(unit, excluded_reason="ExplicitExclusion"))
+            continue
+        candidates = adjacency.neighbors(unit) & panel.units
+        try:
+            groups = classify_candidates(panel, unit, candidates, prestudy)
+            effect_lc = (
+                did_point(*arm_cells(panel, unit, groups.lower, before, after))
+                if groups.lower
+                else None
+            )
+            effect_uc = (
+                did_point(*arm_cells(panel, unit, groups.upper, before, after))
+                if groups.upper
+                else None
+            )
+        except MissingDataError:
+            results.append(PlaceboResult(unit, excluded_reason="MissingData"))
+            continue
+        if effect_lc is None and effect_uc is None:
+            reason = "NoLowerNeighbors" if not groups.lower else "NoUpperNeighbors"
+            results.append(PlaceboResult(unit, excluded_reason=reason))
+        else:
+            results.append(PlaceboResult(unit, effect_lc=effect_lc, effect_uc=effect_uc))
+    return tuple(results)
+
+
+@pytest.fixture(scope="module")
+def ring(tmp_path_factory):
+    """The seeded ring panel of the golden tests: gaps, missing SEs, an isolated unit."""
+    panel_path, adjacency_path = _write_ring_inputs(tmp_path_factory.mktemp("ring"))
+    return parse_panel_csv(panel_path), parse_adjacency_csv(adjacency_path)
+
+
+@pytest.mark.parametrize("exclusions", [(), ("U005",), ("U017", "U030")])
+def test_memoized_study_equals_the_fresh_loop(ring, exclusions):
+    panel, adjacency = ring
+    got = run_placebo_study(panel, adjacency, PRESTUDY, BEFORE, AFTER, exclusions)
+    assert got == _oracle_study(panel, adjacency, PRESTUDY, BEFORE, AFTER, exclusions)
+    reasons = {r.excluded_reason for r in got}
+    assert {"MissingData", "NoLowerNeighbors"} <= reasons
+    assert ("ExplicitExclusion" in reasons) == bool(exclusions)
+
+
+def test_memoized_study_equals_the_fresh_loop_when_a_prestudy_gap_spreads(ring):
+    # A gap in the pre-study window excludes the unit and every unit it neighbours.
+    panel, adjacency = ring
+    prestudy = PeriodRange(1994, 2001)  # covers U017's missing 2001
+    before, after = PeriodRange(2002, 2008), PeriodRange(2009, 2016)
+    got = run_placebo_study(panel, adjacency, prestudy, before, after)
+    assert got == _oracle_study(panel, adjacency, prestudy, before, after)
+    missing = {r.unit_id for r in got if r.excluded_reason == "MissingData"}
+    assert {"U017"} | adjacency.neighbors("U017") <= missing
+
+
+def _count_summaries(monkeypatch):
+    """Record the (group, period) of every weighted_period_mean call, whatever module makes it."""
+    calls = []
+    original = estimation.weighted_period_mean
+
+    def counted(panel, group, period):
+        calls.append((tuple(sorted(group)), period))
+        return original(panel, group, period)
+
+    for module in (estimation, bracketing, placebo):
+        monkeypatch.setattr(module, "weighted_period_mean", counted)
+    return calls
+
+
+def test_memo_computes_each_single_unit_summary_once(ring, monkeypatch):
+    panel, adjacency = ring
+    calls = _count_summaries(monkeypatch)
+    _oracle_study(panel, adjacency, PRESTUDY, BEFORE, AFTER)
+    fresh = list(calls)
+    calls.clear()
+    run_placebo_study(panel, adjacency, PRESTUDY, BEFORE, AFTER)
+    # Groups of two or more units are computed afresh, call for call.
+    assert [c for c in calls if len(c[0]) > 1] == [c for c in fresh if len(c[0]) > 1]
+    # Each one-unit summary the loop asked for is computed exactly once.
+    single = [c for c in calls if len(c[0]) == 1]
+    assert len(single) == len(set(single))
+    assert set(single) == {c for c in fresh if len(c[0]) == 1}
+    assert (len(fresh), len(calls)) == (740, 295)

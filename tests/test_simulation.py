@@ -492,24 +492,6 @@ def test_engine_matches_oracle_around_the_real_chunk_length(n):
         _assert_engine_matches_oracle(scenario, max(reps, 2), seed=reps, alpha=0.05)
 
 
-def test_engine_keeps_min_max_semantics_when_one_arm_overflows():
-    # exp() of the upper group's drifted confounder overflows, so that arm's
-    # interval is NaN; min() and max() then keep the lower arm's endpoints,
-    # as the one-replication loop did (np.minimum would give NaN).
-    scenario = Scenario(
-        effect=1.0, confounder=ConfounderSpec("normal", 0.0, 0.5, 1.0, sd=0.5),
-        time_effect="convex_after", noise_sd=0.5, n_per_cell=20,
-        drift=DriftSpec(0.0, 0.0, 800.0),
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _engine_minmax(scenario, 100, 0.05, seed=4)
-        want = _oracle_minmax(scenario, 100, 0.05, seed=4)
-        result = coverage_experiment(scenario, 100, 0.05, seed=4)
-    assert got == want
-    assert all(map(math.isfinite, got[0] + got[1]))
-    assert result.coverage > 0
-
-
 def test_coverage_experiment_matches_oracle():
     for name, scenario in shipped_scenarios().items():
         for alpha in (0.05, 0.5, 0.9):
