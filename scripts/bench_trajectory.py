@@ -4,14 +4,17 @@
 Reads the untraced (``-trace0``) records that ``bench/run.py`` leaves in a
 results directory and writes, per workload, the seeds and the median and
 quartiles of ``call_s_p50``, ``items_per_s`` and ``peak_rss_mb``, with the
-measured source's sha256, git commit and Python and numpy versions. Given
-the results directory of a parent checkout run on the same seeds, it adds
-the parent's figures and how many seed pairs the change won on each
-metric.
+measured source's sha256, its git commit and the Python and numpy
+versions. Given the results directory of a parent checkout run on the
+same seeds, it adds the parent's figures and how many seed pairs the
+change won on each metric.
 
-Run from the repository root:
+The records must come from a clean checkout of one commit (``git clone``
+the change, run the benchmark there), so the trajectory names the commit
+it measured. Run from the repository root:
 
-    python scripts/bench_trajectory.py --number 6 --parent-results ../parent/bench/_out/results
+    python scripts/bench_trajectory.py --number 6 --results ../change/bench/_out/results \
+        --parent-results ../parent/bench/_out/results
 """
 
 import argparse
@@ -70,13 +73,31 @@ def source_of(records: dict) -> str:
     return sources.pop()
 
 
+def commit_of(records: dict):
+    """The one clean git commit every record measured, or None outside a git checkout.
+
+    A record taken in a dirty tree names the commit it started from, not
+    the source it measured, so such records are refused: commit the
+    change, then run the benchmark in a clean checkout of that commit.
+    """
+    commits = {json.dumps(r["provenance"]["git"], sort_keys=True)
+               for runs in records.values() for r in runs.values()}
+    if len(commits) != 1:
+        raise SystemExit(f"the records name {len(commits)} different commits; expected one")
+    git = json.loads(commits.pop())
+    if git is not None and git["dirty"] is not False:
+        raise SystemExit(f"the records measured a dirty tree on {git['sha']}; "
+                         "run the benchmark in a clean checkout of the change's commit")
+    return git
+
+
 def build(number: int, change: dict, parent=None) -> dict:
     first = next(iter(next(iter(change.values())).values()))
     provenance = first["provenance"]
     out = {
         "number": number,
         "source_sha256": source_of(change),
-        "git": provenance["git"],
+        "git": commit_of(change),
         "python": provenance["python"],
         "numpy": provenance["numpy"],
         "nproc": provenance["nproc"],

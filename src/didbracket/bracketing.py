@@ -44,8 +44,15 @@ class ControlGroups:
     ties: frozenset
 
 
+def _summarizer(panel: PanelDataset, summary):
+    """``summary``, or ``weighted_period_mean`` over ``panel`` when it is None."""
+    if summary is not None:
+        return summary
+    return lambda group, period: weighted_period_mean(panel, group, period)
+
+
 def classify_candidates(
-    panel: PanelDataset, treated: str, candidates, prestudy: PeriodRange, means=None
+    panel: PanelDataset, treated: str, candidates, prestudy: PeriodRange, summary=None
 ) -> ControlGroups:
     """Split candidates by their pre-study mean relative to the treated unit's.
 
@@ -53,20 +60,15 @@ def classify_candidates(
     group, exact ties stay unassigned. Either side may come back empty;
     use :func:`construct_control_groups` when a full bracket is required.
 
-    ``means`` optionally maps the treated unit and every candidate to the
-    pre-study mean already computed for it; without it each mean is
-    ``weighted_period_mean(panel, {unit}, prestudy).mean``.
+    ``summary(group, period)`` stands in for ``weighted_period_mean(panel,
+    group, period)``, as in :func:`arm_cells`.
     """
-    if means is None:
-        def mean_of(unit):
-            return weighted_period_mean(panel, {unit}, prestudy).mean
-    else:
-        mean_of = means.__getitem__
-    treated_mean = mean_of(treated)
+    summary = _summarizer(panel, summary)
+    treated_mean = summary({treated}, prestudy).mean
     lower, upper, ties = set(), set(), set()
     candidate_means = []
     for unit in sorted(set(candidates) - {treated}):
-        mean = mean_of(unit)
+        mean = summary({unit}, prestudy).mean
         candidate_means.append((unit, mean))
         if mean < treated_mean:
             lower.add(unit)
@@ -162,9 +164,7 @@ def arm_cells(
     group, period)``; the placebo engine passes its memo of it, which
     returns the same values.
     """
-    if summary is None:
-        def summary(group, period):
-            return weighted_period_mean(panel, group, period)
+    summary = _summarizer(panel, summary)
     return (
         summary({treated}, before),
         summary({treated}, after),

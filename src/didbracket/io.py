@@ -441,20 +441,24 @@ def write_files(out_dir, files: dict) -> None:
     The files are staged (each with :func:`atomic_write_text`) in a
     temporary directory. A new ``out_dir`` is staged beside the outermost
     directory the call creates, and that is renamed into place in one
-    step; into an existing ``out_dir`` the files staged beside it are moved
-    one by one with ``os.replace``. A failed write removes the staging
+    step. An existing ``out_dir`` is staged in a hidden subdirectory of its
+    own, so the call needs no more than write access to ``out_dir`` and
+    never moves a file across filesystems; the staged files are moved one
+    by one with ``os.replace``. A failed write removes the staging
     directory, so it leaves no partial output directory and no temporary
     file behind.
     """
     out_dir = Path(out_dir)
+    exists = out_dir.exists()
     top = out_dir  # the outermost directory this call creates, if any
     while not top.parent.exists():
         top = top.parent
     # mkdir, not mkdtemp: the renamed directory keeps the umask's permissions.
-    stage = top.parent / f".{top.name}.{os.urandom(6).hex()}.tmp"
+    tag = os.urandom(6).hex()
+    stage = out_dir / f".stage-{tag}" if exists else top.parent / f".{top.name}.{tag}.tmp"
     stage.mkdir()
     try:
-        if out_dir.exists():
+        if exists:
             for name, text in files.items():
                 atomic_write_text(stage / name, text)
             for name in files:

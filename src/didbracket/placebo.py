@@ -107,8 +107,7 @@ def run_placebo_study(
             continue
         candidates = adjacency.neighbors(unit) & panel.units
         try:
-            means = {u: summary({u}, prestudy).mean for u in (unit, *candidates)}
-            groups = classify_candidates(panel, unit, candidates, prestudy, means)
+            groups = classify_candidates(panel, unit, candidates, prestudy, summary)
             effect_lc = (
                 did_point(*arm_cells(panel, unit, groups.lower, before, after, summary))
                 if groups.lower

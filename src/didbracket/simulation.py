@@ -203,16 +203,29 @@ def _reduce(buf: np.ndarray, with_se: bool) -> tuple:
     return means, buf.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
-def _check_finite(cells: np.ndarray, what: str, start: int) -> None:
-    """Raise OutOfDomainError naming the first replication and cell that is not finite."""
-    bad = ~np.isfinite(cells)
+def _check_finite(values: np.ndarray, labels, start: int) -> None:
+    """Raise OutOfDomainError naming the first replication and column that is not finite.
+
+    ``values`` has one row a replication, from replication ``start`` on,
+    and one column for each of ``labels``.
+    """
+    bad = ~np.isfinite(values)
     if bad.any():
         rep, k = (int(i) for i in np.argwhere(bad)[0])
-        group, period = CELLS[k]
         raise OutOfDomainError(
-            f"replication {start + rep}: cell {group}{period} {what} is {float(cells[rep, k])!r}; "
+            f"replication {start + rep}: {labels[k]} is {float(values[rep, k])!r}; "
             "the scenario's outcomes overflow float64"
         )
+
+
+CELL_MEANS = tuple(f"cell {group}{period} mean" for group, period in CELLS)
+CELL_SES = tuple(f"cell {group}{period} SE" for group, period in CELLS)
+ARM_ENDS = (
+    "lower-control arm's lower end",
+    "lower-control arm's upper end",
+    "upper-control arm's lower end",
+    "upper-control arm's upper end",
+)
 
 
 def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
@@ -237,9 +250,9 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
             for out, child in zip(chunk, root.spawn(len(chunk))):
                 _fill(scenario, np.random.default_rng(child), out)
             means, ses = _reduce(chunk, with_se)
-        _check_finite(means, "mean", start)
+        _check_finite(means, CELL_MEANS, start)
         if ses is not None:
-            _check_finite(ses, "SE", start)
+            _check_finite(ses, CELL_SES, start)
         yield means, ses
 
 
@@ -288,9 +301,22 @@ class McReport:
     flags: tuple = ()
 
 
-def _mc_summary(points: np.ndarray):
-    mean = float(points.mean())
-    mcse = float(points.std(ddof=1) / math.sqrt(points.size))
+def _mc_summary(points: np.ndarray, arm: str):
+    """Mean and Monte Carlo SE of one arm's points.
+
+    Finite cells can still give points that overflow, or whose spread
+    overflows when squared; that raises OutOfDomainError instead of a
+    non-finite report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(points.mean())
+        mcse = float(points.std(ddof=1) / math.sqrt(points.size))
+    for what, value in (("mean effect", mean), ("Monte Carlo SE", mcse)):
+        if not math.isfinite(value):
+            raise OutOfDomainError(
+                f"{arm} arm's {what} over {points.size} replications is {value!r}; "
+                "the scenario's outcomes overflow float64"
+            )
     return mean, mcse
 
 
@@ -309,10 +335,11 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
     start = 0
     for means, _ in _replicate(scenario, reps, seed, with_se=False):
         stop = start + len(means)
-        lc[start:stop], uc[start:stop] = _arms(means, did_of_means)
+        with np.errstate(over="ignore", invalid="ignore"):  # _mc_summary checks
+            lc[start:stop], uc[start:stop] = _arms(means, did_of_means)
         start = stop
-    mean_lc, mcse_lc = _mc_summary(lc)
-    mean_uc, mcse_uc = _mc_summary(uc)
+    mean_lc, mcse_lc = _mc_summary(lc, "lower-control")
+    mean_uc, mcse_uc = _mc_summary(uc, "upper-control")
     slack = 3.0 * max(mcse_lc, mcse_uc)
     lo, hi = min(mean_lc, mean_uc), max(mean_lc, mean_uc)
     return McReport(
@@ -340,16 +367,22 @@ def _minmax_intervals(scenario: Scenario, reps: int, alpha: float, seed: int):
 
     Each arm's interval has wald_ci's endpoints around the arm's point, with
     did_se's SE; the arms combine as in minmax_ci, by the minimum of the
-    lower endpoints and the maximum of the upper ones. Every cell is finite
-    (``_replicate`` checks), so no endpoint is NaN.
+    lower endpoints and the maximum of the upper ones. Finite cells can
+    still give a point or a variance that overflows, so each endpoint is
+    checked: one that is not finite raises OutOfDomainError naming the
+    replication.
     """
     z = wald_z(alpha)
+    start = 0
     for means, ses in _replicate(scenario, reps, seed, with_se=True):
         ends = []
-        for point, variance in zip(_arms(means, did_of_means), _arms(ses, did_variance)):
-            half = z * np.sqrt(variance)
-            ends.append((point - half, point + half))
-        (lower_lc, upper_lc), (lower_uc, upper_uc) = ends
+        with np.errstate(over="ignore", invalid="ignore"):
+            for point, variance in zip(_arms(means, did_of_means), _arms(ses, did_variance)):
+                half = z * np.sqrt(variance)
+                ends += [point - half, point + half]
+        _check_finite(np.stack(ends, axis=1), ARM_ENDS, start)
+        lower_lc, upper_lc, lower_uc, upper_uc = ends
+        start += len(means)
         yield np.minimum(lower_lc, lower_uc), np.maximum(upper_lc, upper_uc)
 
 

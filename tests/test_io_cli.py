@@ -569,15 +569,24 @@ def test_simulate_with_scenario_file(tmp_path):
     assert payload["bracket_holds"] is True
 
 
-@pytest.mark.parametrize("mode", ["bracket", "coverage"])
-def test_overflowing_scenario_exits_3_with_one_line(tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, drift_uc, message",
+    [
+        ("bracket", 800, "replication 0: cell uc1 mean is inf"),
+        ("coverage", 800, "replication 0: cell uc1 mean is inf"),
+        # Finite cell means whose spread overflows once squared.
+        ("bracket", 400, "upper-control arm's Monte Carlo SE over 200 replications is inf"),
+        ("coverage", 400, "replication 0: cell uc1 SE is inf"),
+    ],
+)
+def test_overflowing_scenario_exits_3_with_one_line(tmp_path, mode, drift_uc, message):
     # exp() of the upper group's drifted confounder overflows float64.
     scenario = tmp_path / "overflow.tomlish"
     scenario.write_text(
         "effect = 1.0\nconfounder_kind = normal\nconfounder_lc = 0.0\n"
         "confounder_t = 0.5\nconfounder_uc = 1.0\nconfounder_sd = 0.5\n"
         "time_effect = convex_after\nnoise_sd = 0.5\nn_per_cell = 20\n"
-        "drift_lc = 0.0\ndrift_t = 0.0\ndrift_uc = 800\ndrift_sd = 0.0\n",
+        f"drift_lc = 0.0\ndrift_t = 0.0\ndrift_uc = {drift_uc}\ndrift_sd = 0.0\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
@@ -589,10 +598,7 @@ def test_overflowing_scenario_exits_3_with_one_line(tmp_path, mode):
         )
     assert code == 3
     assert stdout == ""
-    assert stderr == (
-        "OutOfDomain: replication 0: cell uc1 mean is inf; "
-        "the scenario's outcomes overflow float64\n"
-    )
+    assert stderr == f"OutOfDomain: {message}; the scenario's outcomes overflow float64\n"
     assert not out.exists()
 
 
@@ -879,6 +885,28 @@ def test_failed_write_keeps_an_existing_directory_as_it_was(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert [p.name for p in out.iterdir()] == ["summary.txt"]
     assert (out / "summary.txt").read_text(encoding="utf-8") == "earlier run\n"
+
+
+def test_existing_out_dir_is_staged_inside_itself(tmp_path, monkeypatch):
+    # Only out_dir need be writable, and nothing is moved across filesystems
+    # (out_dir may be a mount point): the parent is made read-only, which
+    # binds unless the tests run as root, and every staged path is checked.
+    parent = tmp_path / "ro"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    staged, original = [], dio.atomic_write_text
+    monkeypatch.setattr(dio, "atomic_write_text", lambda path, text: (
+        staged.append(Path(path)), original(path, text)))
+    parent.chmod(0o555)
+    try:
+        code, _, stderr = run_captured(
+            ["analyze", "--config", str(PAPER_CONFIG), "--out-dir", str(out)])
+    finally:
+        parent.chmod(0o755)
+    assert (code, stderr) == (0, "")
+    assert staged and all(path.parent.parent == out for path in staged)
+    assert sorted(p.name for p in out.iterdir()) == sorted(path.name for path in staged)
+    assert [p.name for p in parent.iterdir()] == ["out"]
 
 
 def test_write_files_into_new_and_existing_directories(tmp_path):

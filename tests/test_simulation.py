@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -191,6 +192,33 @@ def test_coverage_guarantee_holds_at_alpha_half():
 def test_coverage_requires_min_reps():
     with pytest.raises(OutOfDomainError):
         coverage_experiment(linear_scenario(), reps=50, alpha=0.05, seed=1)
+
+
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        (lambda sc: coverage_experiment(sc, reps=100, alpha=0.05, seed=1),
+         r"^replication 0: upper-control arm's lower end is inf; "),
+        (lambda sc: verify_bracketing(sc, reps=100, seed=1),
+         r"^lower-control arm's mean effect over 100 replications is inf; "),
+    ],
+)
+def test_finite_cells_with_overflowing_arms_are_out_of_domain(experiment, message):
+    # One draw a cell keeps every cell finite. The upper arm's DiD point,
+    # (t1 - t0) - (uc1 - uc0) = 1.7e308 + 1.7e308, is not; the lower arm's
+    # points are finite, but their sum over the replications is not.
+    scenario = Scenario(
+        effect=1.0,
+        confounder=ConfounderSpec("normal", -9e307, -8.5e307, 8.5e307, sd=0.0),
+        time_effect="additive",
+        noise_sd=0.5,
+        n_per_cell=1,
+        drift=DriftSpec(0.0, 1.7e308, -1.7e308),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomainError, match=message):
+            experiment(scenario)
 
 
 # --- time-varying confounders ------------------------------------------------
