@@ -40,7 +40,6 @@ class ControlGroups:
     lower: frozenset
     upper: frozenset
     treated_prestudy_mean: float
-    candidate_means: tuple  # ((unit, mean), ...) sorted by unit
     ties: frozenset
 
 
@@ -66,10 +65,8 @@ def classify_candidates(
     summary = _summarizer(panel, summary)
     treated_mean = summary({treated}, prestudy).mean
     lower, upper, ties = set(), set(), set()
-    candidate_means = []
     for unit in sorted(set(candidates) - {treated}):
         mean = summary({unit}, prestudy).mean
-        candidate_means.append((unit, mean))
         if mean < treated_mean:
             lower.add(unit)
         elif mean > treated_mean:
@@ -80,7 +77,6 @@ def classify_candidates(
         lower=frozenset(lower),
         upper=frozenset(upper),
         treated_prestudy_mean=treated_mean,
-        candidate_means=tuple(candidate_means),
         ties=frozenset(ties),
     )
 

@@ -2,7 +2,8 @@
 
 Configuration comes from defaults, then an optional config file, then
 flags (flags win). Flags are plain strings; ``io.config_from_values``
-types and checks every value, before any input file is read. Commands
+types and checks every value, and ``io.check_out_dir`` refuses an output
+directory that names a file, before any input file is read. Commands
 compute everything and return their files; ``main`` writes them only
 once the command has finished, all or none (``io.write_files``), so a
 failed run leaves no output directory and no partial one. Exit
@@ -18,13 +19,14 @@ import sys
 from pathlib import Path
 
 from . import io as dio
-from .bracketing import full_analysis
+from .bracketing import construct_control_groups, full_analysis
 from .diagnostics import pattern_test, relative_trends_table, split_before
 from .errors import BadSplitError, ConfigError, DataError, InvariantError, OutOfDomainError
-from .model import validate_design
+from .model import StudyDesign, validate_design
 from .placebo import ARMS, histogram_export, rank_effect, run_placebo_study
 from .simulation import (
     check_reps,
+    check_seed,
     check_synth_tau,
     coverage_experiment,
     shipped_scenarios,
@@ -56,11 +58,17 @@ def _resolved_design(cfg):
         except BadSplitError as exc:
             raise ConfigError(str(exc)) from None
     panel = _load_panel(cfg)
-    needs_adjacency = not (cfg.lower_controls and cfg.upper_controls) and (
-        cfg.candidates in ((), ("neighbors",))
-    )
-    adjacency = _load_adjacency(cfg) if needs_adjacency else None
-    design = dio.resolve_design(cfg, panel, adjacency)
+    # Explicit control lists win; else candidates (default: neighbours) are classified.
+    if cfg.lower_controls and cfg.upper_controls:
+        lower, upper = cfg.lower_controls, cfg.upper_controls
+    else:
+        if cfg.candidates in ((), ("neighbors",)):
+            candidates = _load_adjacency(cfg).neighbors(cfg.treated) & panel.units
+        else:
+            candidates = frozenset(cfg.candidates)
+        groups = construct_control_groups(panel, cfg.treated, candidates, cfg.prestudy)
+        lower, upper = groups.lower, groups.upper
+    design = StudyDesign(cfg.treated, lower, upper, cfg.prestudy, cfg.before, cfg.after)
     violations = validate_design(panel, design)
     if violations:
         raise DataError("invalid design: " + "; ".join(str(v) for v in violations))
@@ -105,7 +113,7 @@ def cmd_diagnose(cfg):
         "split_year": cfg.split_year,
         "patterns": [dio.fields_of(r, _PATTERN_FIELDS) for r in reports],
     }
-    trend_rows = relative_trends_table(panel, design, by_year=True, alpha=cfg.alpha)
+    trend_rows = relative_trends_table(panel, design, cfg.alpha)
     files = {
         "pattern_tests.json": dio.to_json(payload),
         "relative_trends.csv": dio.rows_to_csv(
@@ -173,6 +181,7 @@ def cmd_placebo(cfg):
 def cmd_simulate(cfg):
     try:
         check_reps(cfg.mode, cfg.reps)
+        check_seed(cfg.seed)
         if cfg.mode == "synthetic_control":
             check_synth_tau(cfg.tau)
     except OutOfDomainError as exc:
@@ -304,6 +313,7 @@ def main(argv=None) -> int:
         args = vars(_build_parser().parse_args(argv))
         command, config = args.pop("command"), args.pop("config")
         cfg = dio.load_config(config, {k: v for k, v in args.items() if v is not None})
+        dio.check_out_dir(cfg.out_dir)
         files, stdout = _COMMANDS[command][0](cfg)
         dio.write_files(cfg.out_dir, files)
         sys.stdout.write(stdout)

@@ -115,8 +115,7 @@ def pattern_test(
 
 @dataclass(frozen=True)
 class TrendRow:
-    year: int  # single year, or sub-period start when by_year=False
-    end_year: int
+    year: int
     group: str
     mean: float
     ci_lower: float
@@ -124,16 +123,11 @@ class TrendRow:
 
 
 def relative_trends_table(
-    panel: PanelDataset,
-    design: StudyDesign,
-    by_year: bool = True,
-    alpha: float = 0.05,
-    period: PeriodRange = None,
+    panel: PanelDataset, design: StudyDesign, alpha: float = 0.05
 ) -> tuple:
-    """Per-year (or per-period) group means with Wald CIs, for plotting.
+    """Per-year group means with Wald CIs over the before period, for plotting.
 
-    Covers the treated, lower, and upper groups over ``period`` (default:
-    the before period when by_year, else all three design periods).
+    Covers the treated, lower, and upper groups, year by year in order.
     """
     groups = [
         ("treated", {design.treated}),
@@ -143,14 +137,9 @@ def relative_trends_table(
     for name, members in groups:
         if not members:
             raise EmptyGroupError(f"{name} group is empty")
-    if by_year:
-        span = period if period is not None else design.before
-        windows = [PeriodRange(y, y) for y in span.years()]
-    else:
-        windows = [design.prestudy, design.before, design.after] if period is None else [period]
-
     rows = []
-    for window in windows:
+    for year in design.before.years():
+        window = PeriodRange(year, year)
         for name, members in groups:
             summary = weighted_period_mean(panel, members, window)
             if summary.se is None:
@@ -158,8 +147,7 @@ def relative_trends_table(
             ci = wald_ci(summary.mean, summary.se, alpha)
             rows.append(
                 TrendRow(
-                    year=window.start_year,
-                    end_year=window.end_year,
+                    year=year,
                     group=name,
                     mean=summary.mean,
                     ci_lower=ci.lower,

@@ -15,13 +15,11 @@ import json
 import math
 import os
 import shutil
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .bracketing import construct_control_groups
 from .errors import (
     ConfigError,
     DataError,
@@ -316,36 +314,6 @@ def load_config(path=None, overrides=None) -> AnalysisConfig:
     return config_from_values(values)
 
 
-def resolve_design(cfg: AnalysisConfig, panel: PanelDataset,
-                   adjacency: Optional[AdjacencyGraph]) -> StudyDesign:
-    """Build a StudyDesign from configuration.
-
-    Explicit lower/upper control lists win; otherwise candidates (or the
-    treated unit's neighbors) are classified against the pre-study period.
-    ``cfg`` must carry the treated unit and the three periods; callers
-    check that with ``cfg.require`` before reading the panel.
-    """
-    if cfg.lower_controls and cfg.upper_controls:
-        lower, upper = frozenset(cfg.lower_controls), frozenset(cfg.upper_controls)
-    else:
-        if cfg.candidates == ("neighbors",) or not cfg.candidates:
-            if adjacency is None:
-                raise ConfigError("candidates = neighbors requires an adjacency file")
-            candidates = adjacency.neighbors(cfg.treated) & panel.units
-        else:
-            candidates = frozenset(cfg.candidates)
-        groups = construct_control_groups(panel, cfg.treated, candidates, cfg.prestudy)
-        lower, upper = groups.lower, groups.upper
-    return StudyDesign(
-        treated=cfg.treated,
-        lower_controls=lower,
-        upper_controls=upper,
-        prestudy=cfg.prestudy,
-        before=cfg.before,
-        after=cfg.after,
-    )
-
-
 # --- scenario files -----------------------------------------------------------
 
 SCENARIO_KEYS = {
@@ -424,15 +392,26 @@ def load_scenario(path):
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # open "x", not mkstemp: the file gets 0o666 less the umask, as a plain write would.
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def check_out_dir(out_dir) -> None:
+    """Raise ConfigError unless ``out_dir``, or its nearest existing parent, is a directory."""
+    out_dir = Path(out_dir)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"out_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
+            return
 
 
 def write_files(out_dir, files: dict) -> None:

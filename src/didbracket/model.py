@@ -165,9 +165,6 @@ class AdjacencyGraph:
     def neighbors(self, unit: str) -> frozenset:
         return self._neighbors.get(unit, frozenset())
 
-    def units(self) -> frozenset:
-        return frozenset(self._neighbors)
-
 
 @dataclass(frozen=True, order=True)
 class PeriodRange:

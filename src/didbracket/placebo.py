@@ -136,17 +136,12 @@ class RankResult:
     rank: int
 
 
-def rank_effect(results, unit: str, arm: str, subset=None) -> RankResult:
+def rank_effect(results, unit: str, arm: str) -> RankResult:
     """Rank a unit's arm estimate by strict exceedance among the results.
 
-    Ties count as not-greater. ``subset`` optionally restricts the
-    comparison units (the unit itself is always kept).
+    Ties count as not-greater.
     """
-    pool = [
-        r
-        for r in results
-        if r.arm(arm) is not None and (subset is None or r.unit_id in subset or r.unit_id == unit)
-    ]
+    pool = [r for r in results if r.arm(arm) is not None]
     target = next((r for r in pool if r.unit_id == unit), None)
     if target is None:
         raise ArmUnavailableError(f"{unit} has no {arm} placebo estimate")

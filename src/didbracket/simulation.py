@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidScenarioError, OutOfDomainError
-from .estimation import did_of_means, did_point, did_variance, wald_z
-from .model import PeriodSummary
+from .estimation import did_of_means, did_variance, wald_z
 
 GROUPS = ("lc", "t", "uc")
 TIME_EFFECTS = ("additive", "linear_interaction", "convex_after")
@@ -56,9 +55,6 @@ class ConfounderSpec:
         if self.kind == "exponential" and self.lc <= 0:
             raise InvalidScenarioError("exponential scales must be positive")
 
-    def param(self, group: str) -> float:
-        return {"lc": self.lc, "t": self.t, "uc": self.uc}[group]
-
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -80,9 +76,6 @@ class DriftSpec:
 
     def ordered(self) -> bool:
         return self.lc <= self.t <= self.uc
-
-    def param(self, group: str) -> float:
-        return {"lc": self.lc, "t": self.t, "uc": self.uc}[group]
 
 
 @dataclass(frozen=True)
@@ -145,29 +138,10 @@ def chunk_len(n_per_cell: int) -> int:
     return max(1, CHUNK_BYTES // (len(CELLS) * n_per_cell * 8))
 
 
-@dataclass(frozen=True)
-class SimulatedPanel:
-    """Cell-level view of one simulated draw: mean, SE, n per (group, period)."""
-
-    cells: dict  # (group, period) -> PeriodSummary
-    effect: float
-
-    def summary(self, group: str, period: int) -> PeriodSummary:
-        return self.cells[(group, period)]
-
-    def arm_points(self) -> tuple:
-        """(estimate vs lower controls, estimate vs upper controls)."""
-        t0, t1 = self.summary("t", 0), self.summary("t", 1)
-        return (
-            did_point(t0, t1, self.summary("lc", 0), self.summary("lc", 1)),
-            did_point(t0, t1, self.summary("uc", 0), self.summary("uc", 1)),
-        )
-
-
 def _draw_confounder(rng, spec: ConfounderSpec, group: str, n: int) -> np.ndarray:
     if spec.kind == "normal":
-        return rng.normal(spec.param(group), spec.sd, n)
-    return rng.exponential(spec.param(group), n)
+        return rng.normal(getattr(spec, group), spec.sd, n)
+    return rng.exponential(getattr(spec, group), n)
 
 
 def _fill(scenario: Scenario, rng, out: np.ndarray) -> None:
@@ -181,7 +155,7 @@ def _fill(scenario: Scenario, rng, out: np.ndarray) -> None:
     for k, group in enumerate(GROUPS):
         u0 = _draw_confounder(rng, scenario.confounder, group, n)
         if scenario.drift is not None:
-            u1 = u0 + rng.normal(scenario.drift.param(group), scenario.drift.sd, n)
+            u1 = u0 + rng.normal(getattr(scenario.drift, group), scenario.drift.sd, n)
         else:
             u1 = u0
         eps0 = rng.normal(0.0, noise, n) if noise else 0.0
@@ -256,19 +230,6 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
         yield means, ses
 
 
-def generate_panel(scenario: Scenario, seed: int) -> SimulatedPanel:
-    """One simulated draw; identical seeds give identical panels."""
-    buf = np.empty((1, len(CELLS), scenario.n_per_cell))
-    _fill(scenario, np.random.default_rng(np.random.SeedSequence(seed)), buf[0])
-    means, ses = _reduce(buf, with_se=True)
-    weight = float(scenario.n_per_cell)
-    cells = {
-        cell: PeriodSummary(mean=float(means[0, i]), se=float(ses[0, i]), total_weight=weight)
-        for i, cell in enumerate(CELLS)
-    }
-    return SimulatedPanel(cells=cells, effect=scenario.effect)
-
-
 def _arms(cells: np.ndarray, combine) -> tuple:
     """``combine`` applied to the four cells of each arm: (vs lower, vs upper)."""
     t0, t1 = cells[:, T0], cells[:, T1]
@@ -287,6 +248,12 @@ def check_reps(mode: str, reps: int) -> None:
     """Raise OutOfDomainError when ``reps`` is below ``mode``'s minimum."""
     if reps < MIN_REPS[mode]:
         raise OutOfDomainError(f"reps must be >= {MIN_REPS[mode]} in {mode} mode, got {reps}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise OutOfDomainError for a negative seed, which SeedSequence refuses."""
+    if seed < 0:
+        raise OutOfDomainError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -157,15 +157,9 @@ def test_shrinking_ses_polarize_pvalues():
 
 
 def test_relative_trends_table_shapes(bundled_panel, paper_design):
-    rows = relative_trends_table(bundled_panel, paper_design, by_year=True)
+    rows = relative_trends_table(bundled_panel, paper_design)
     assert len(rows) == 9 * 3  # nine before-period years, three groups
     assert {r.group for r in rows} == {"treated", "lower", "upper"}
-    single = relative_trends_table(
-        bundled_panel, paper_design, by_year=True, period=PeriodRange(2000, 2000)
-    )
-    assert len(single) == 3
-    periods = relative_trends_table(bundled_panel, paper_design, by_year=False)
-    assert len(periods) == 3 * 3  # three design periods, three groups
 
 
 def test_relative_trends_empty_group(bundled_panel, paper_design):
@@ -185,4 +179,4 @@ def test_relative_trends_requires_ses():
         PeriodRange(1994, 1994), PeriodRange(1999, 1999), PeriodRange(2008, 2008),
     )
     with pytest.raises(MissingSEError):
-        relative_trends_table(panel, design, by_year=True, period=PeriodRange(1999, 1999))
+        relative_trends_table(panel, design)

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -292,10 +294,10 @@ def test_svg_builders_structure():
     from didbracket.diagnostics import TrendRow
 
     rows = [
-        TrendRow(1999, 1999, "treated", 4.0, 3.5, 4.5),
-        TrendRow(2000, 2000, "treated", 4.2, 3.7, 4.7),
-        TrendRow(1999, 1999, "upper", 5.0, 4.5, 5.5),
-        TrendRow(2000, 2000, "upper", 5.1, 4.6, 5.6),
+        TrendRow(1999, "treated", 4.0, 3.5, 4.5),
+        TrendRow(2000, "treated", 4.2, 3.7, 4.7),
+        TrendRow(1999, "upper", 5.0, 4.5, 5.5),
+        TrendRow(2000, "upper", 5.1, 4.6, 5.6),
     ]
     svg = line_chart_svg(rows)
     assert svg.startswith("<svg")
@@ -666,7 +668,7 @@ MALFORMED_FLAGS = {
     "--alpha": ("analyze", st.one_of(_not_float, _outside(0.0, 1.0))),
     "--tau": ("simulate", _not_float),
     "--bin-width": ("placebo", st.one_of(_not_float, _outside(0.0, math.inf))),
-    "--seed": ("simulate", _not_int),
+    "--seed": ("simulate", st.one_of(_not_int, st.integers(max_value=-1).map(str))),
     "--reps": ("simulate", _not_int),
     "--split-year": ("diagnose", _not_int),
     "--format": ("analyze", _not_choice),
@@ -724,6 +726,22 @@ def test_periods_out_of_order_exit_2_with_one_line(tmp_path_factory, command, pe
     assert stderr.startswith("Config: periods must be ordered prestudy < before < after: ")
 
 
+@pytest.mark.parametrize("command", ["analyze", "diagnose", "placebo", "simulate"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path under a file"])
+def test_out_dir_naming_a_file_exits_2_before_any_input_is_read(tmp_path, command, under):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    taken = scratch / "out"  # _base_argv's --out-dir
+    taken.write_text("not a directory\n", encoding="utf-8")
+    argv = _base_argv(command, scratch) + (["--out-dir", str(taken / "sub")] if under else [])
+    code, stdout, stderr = run_captured(argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("Config: out_dir ") and stderr.count("\n") == 1
+    assert stderr.endswith(f"{str(taken)!r} is not a directory\n")
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+    assert sorted(p.name for p in scratch.iterdir()) == ["out"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["analyze", "diagnose", "placebo", "simulate"]),
@@ -750,11 +768,15 @@ NOT_READ = ("--config", str(PAPER_CONFIG), "--panel", "not_read.csv")
      ["simulate", "--reps", "1", "--out-dir", OUT],
      ["simulate", "--mode", "coverage", "--reps", "50", "--out-dir", OUT],
      ["simulate", "--mode", "synthetic_control", "--tau", "0.9", "--out-dir", OUT],
+     ["simulate", "--seed", "-1", "--out-dir", OUT],
+     ["simulate", "--mode", "coverage", "--seed", "-1", "--out-dir", OUT],
+     ["simulate", "--mode", "synthetic_control", "--seed", "-1", "--out-dir", OUT],
      ["diagnose", *NOT_READ, "--split-year", "2007", "--out-dir", OUT],
      ["analyze", *NOT_READ, "--split-year", "1998", "--out-dir", OUT]],
     ids=["no command", "unknown command", "positional", "missing value", "short flag",
          "positional with newline", "bracket reps 1", "coverage reps 50",
-         "synthetic tau 0.9", "diagnose split at the end", "analyze split before"],
+         "synthetic tau 0.9", "bracket seed -1", "coverage seed -1", "synthetic seed -1",
+         "diagnose split at the end", "analyze split before"],
 )
 def test_malformed_invocation_exits_2(tmp_path, argv):
     out = tmp_path / "out"
@@ -907,6 +929,23 @@ def test_existing_out_dir_is_staged_inside_itself(tmp_path, monkeypatch):
     assert staged and all(path.parent.parent == out for path in staged)
     assert sorted(p.name for p in out.iterdir()) == sorted(path.name for path in staged)
     assert [p.name for p in parent.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask 022", "umask 027"])
+def test_outputs_get_the_umask_mode(tmp_path, umask):
+    # Into a new and into an existing directory: 0o666 less the umask, as a
+    # plain write would give, not mkstemp's 0600.
+    argv = ["analyze", "--config", str(PAPER_CONFIG), "--format", "csv", "--out-dir"]
+    old = os.umask(umask)
+    try:
+        for out in (tmp_path / "new" / "out", tmp_path):
+            assert run_captured([*argv, str(out)])[0] == 0
+    finally:
+        os.umask(old)
+    for out in (tmp_path / "new" / "out", tmp_path):
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir() if p.is_file()}
+        assert sorted(modes) == ["bracket_report.json", "bracket_table.csv", "summary.txt"]
+        assert set(modes.values()) == {0o666 & ~umask}
 
 
 def test_write_files_into_new_and_existing_directories(tmp_path):

@@ -144,13 +144,6 @@ def test_rank_effect_maximum_is_rank_one():
     assert rank_effect(results, "u1", "lc").rank == 1
 
 
-def test_rank_effect_subset_filter():
-    results = _results([1.0, 2.0, 3.0, 0.0])
-    rank = rank_effect(results, "u0", "lc", subset={"u1"})
-    assert rank.n_total == 2
-    assert rank.n_strictly_greater == 1
-
-
 def test_rank_effect_missing_arm():
     results = _results([1.0, 2.0])
     with pytest.raises(ArmUnavailableError):

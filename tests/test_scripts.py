@@ -1,11 +1,16 @@
-"""The scripts under scripts/ import only names the package still exports."""
+"""The scripts under scripts/ and the README's library example use only names
+the package still exports."""
 
+import contextlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
@@ -14,3 +19,14 @@ def test_script_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs the imports; main() sits behind __main__
     assert callable(getattr(module, "main", None)) or callable(getattr(module, "run", None))
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md: Library use", "exec"), {})
+    assert out.getvalue().count("\n") == 1  # the bracket and the min-max interval

@@ -19,7 +19,6 @@ from didbracket.simulation import (
     Scenario,
     chunk_len,
     coverage_experiment,
-    generate_panel,
     shipped_scenarios,
     synthetic_control_comparison,
     verify_bracketing,
@@ -77,16 +76,22 @@ def test_misordered_drift_is_flagged_not_rejected():
     assert scenario.assumption_flags() == ("AssumptionViolation:drift_ordering",)
 
 
-# --- panel generation --------------------------------------------------------
+# --- one replication -----------------------------------------------------------
 
 
-def test_generate_panel_reproducible():
+def _one_replication(scenario, seed):
+    """Cell means and SEs, each of shape (6,), of replication 0 from ``seed``."""
+    (means, ses), = simulation._replicate(scenario, 1, seed, with_se=True)
+    return means[0], ses[0]
+
+
+def test_replication_reproducible():
     scenario = linear_scenario()
-    a = generate_panel(scenario, seed=7)
-    b = generate_panel(scenario, seed=7)
-    assert a == b
-    c = generate_panel(scenario, seed=8)
-    assert a != c
+    a = _one_replication(scenario, seed=7)
+    b = _one_replication(scenario, seed=7)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    c = _one_replication(scenario, seed=8)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_additive_profile_cancels_confounder_exactly():
@@ -100,9 +105,10 @@ def test_additive_profile_cancels_confounder_exactly():
         noise_sd=0.0,
         n_per_cell=37,
     )
-    lc, uc = generate_panel(scenario, seed=11).arm_points()
-    assert lc == pytest.approx(1.0, abs=1e-12)
-    assert uc == pytest.approx(1.0, abs=1e-12)
+    means, _ = _one_replication(scenario, seed=11)
+    lc, uc = simulation._arms(means[np.newaxis], did_of_means)
+    assert lc[0] == pytest.approx(1.0, abs=1e-12)
+    assert uc[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_cells_are_exact():
@@ -114,11 +120,11 @@ def test_degenerate_cells_are_exact():
         noise_sd=0.0,
         n_per_cell=1,
     )
-    panel = generate_panel(scenario, seed=1)
-    assert panel.summary("lc", 0).mean == pytest.approx(0.5)
-    assert panel.summary("lc", 1).mean == pytest.approx(0.75)
-    assert panel.summary("t", 1).mean == pytest.approx(2.75)
-    assert panel.summary("uc", 1).se == 0.0
+    means, ses = _one_replication(scenario, seed=1)
+    assert means[simulation.LC0] == pytest.approx(0.5)
+    assert means[simulation.LC1] == pytest.approx(0.75)
+    assert means[simulation.T1] == pytest.approx(2.75)
+    assert ses[simulation.UC1] == 0.0
 
 
 # --- bracketing verification -------------------------------------------------
@@ -352,11 +358,11 @@ def _oracle_cells(scenario, rng):
     cells = {}
     for group in ("lc", "t", "uc"):
         if spec.kind == "normal":
-            u0 = rng.normal(spec.param(group), spec.sd, n)
+            u0 = rng.normal(getattr(spec, group), spec.sd, n)
         else:
-            u0 = rng.exponential(spec.param(group), n)
+            u0 = rng.exponential(getattr(spec, group), n)
         if scenario.drift is not None:
-            u1 = u0 + rng.normal(scenario.drift.param(group), scenario.drift.sd, n)
+            u1 = u0 + rng.normal(getattr(scenario.drift, group), scenario.drift.sd, n)
         else:
             u1 = u0
         eps0 = rng.normal(0.0, scenario.noise_sd, n) if scenario.noise_sd else np.zeros(n)
@@ -450,15 +456,6 @@ def scenarios(draw):
         gamma=draw(st.floats(-1.0, 1.0)),
         drift=drift,
     )
-
-
-@given(scenario=scenarios(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_generate_panel_matches_oracle(scenario, seed):
-    got = generate_panel(scenario, seed)
-    want = _oracle_cells(scenario, np.random.default_rng(np.random.SeedSequence(seed)))
-    assert got.cells == want
-    assert list(got.arm_points()) == [p for p, _ in _oracle_arms(want)]
 
 
 def _assert_engine_matches_oracle(scenario, reps, seed, alpha):
