@@ -15,6 +15,7 @@ import json
 import math
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -71,6 +72,23 @@ def _conversion_error(path, line_no: int, row, idx) -> ParseError:
     raise InvariantError(f"{path}:{line_no}: no column fails to convert")
 
 
+@contextmanager
+def _csv_file(path: Path, kind: str):
+    """The stripped header and a reader over the rest of a UTF-8 CSV file."""
+    if not path.is_file():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, header required") from None
+            yield [c.strip() for c in header], reader
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def parse_panel_csv(path) -> PanelDataset:
     """Strict parse of a unit-year panel CSV.
 
@@ -85,15 +103,7 @@ def parse_panel_csv(path) -> PanelDataset:
     deaths)`` tuples; no PanelRecord is built.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"panel file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header required") from None
-        cols = [c.strip() for c in header]
+    with _csv_file(path, "panel") as (cols, reader):
         missing = [c for c in PANEL_REQUIRED if c not in cols]
         unknown = [c for c in cols if c not in PANEL_REQUIRED + PANEL_OPTIONAL]
         if missing or unknown:
@@ -145,15 +155,8 @@ def parse_panel_csv(path) -> PanelDataset:
 def parse_adjacency_csv(path) -> AdjacencyGraph:
     """Parse the two-column undirected edge list (header unit_a,unit_b)."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"adjacency file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header required") from None
-        if [c.strip() for c in header] != ["unit_a", "unit_b"]:
+    with _csv_file(path, "adjacency") as (cols, reader):
+        if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
         pairs = []
         for line_no, row in enumerate(reader, start=2):
@@ -302,14 +305,21 @@ def config_from_values(values: dict) -> AnalysisConfig:
     return cfg
 
 
+def _read_config_file(path, kind: str, allowed=None) -> dict:
+    """:func:`parse_config_text` of a file; ConfigError unless it is a UTF-8 regular file."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{kind} file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    return parse_config_text(text, str(path), allowed)
+
+
 def load_config(path=None, overrides=None) -> AnalysisConfig:
     """The config file's values (if any) with ``overrides`` on top, then typed once."""
-    values = {}
-    if path is not None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        values = parse_config_text(path.read_text(encoding="utf-8"), str(path))
+    values = {} if path is None else _read_config_file(path, "config")
     values.update(overrides or {})
     return config_from_values(values)
 
@@ -339,51 +349,40 @@ def scenario_from_values(values: dict):
     if missing:
         raise ConfigError(f"missing scenario keys: {sorted(missing)}")
 
-    def num(key, default=None):
-        if key not in values:
-            return default
+    def num(key, kind=float):
         try:
-            return float(values[key])
+            value = kind(values[key])
         except ValueError:
             raise ConfigError(f"{key}: bad number {values[key]!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {values[key]!r}")
+        return value
+
+    def spec(prefix):
+        fields = ("lc", "t", "uc", "sd")
+        return {f: num(prefix + f) for f in fields if prefix + f in values}
 
     drift_keys = {k for k in values if k.startswith("drift_")}
-    drift = None
-    if drift_keys:
-        if drift_keys != {"drift_lc", "drift_t", "drift_uc", "drift_sd"}:
-            raise ConfigError("drift requires all of drift_lc, drift_t, drift_uc, drift_sd")
-        drift = DriftSpec(
-            lc=num("drift_lc"), t=num("drift_t"), uc=num("drift_uc"), sd=num("drift_sd")
-        )
+    if drift_keys and drift_keys != {"drift_lc", "drift_t", "drift_uc", "drift_sd"}:
+        raise ConfigError("drift requires all of drift_lc, drift_t, drift_uc, drift_sd")
+    drift = DriftSpec(**spec("drift_")) if drift_keys else None
+    # Keys the file leaves out take the dataclasses' own defaults.
+    optional = {"tau_shift": ("tau", float), "gamma": ("gamma", float),
+                "noise_sd": ("noise_sd", float), "n_per_cell": ("n_per_cell", int)}
     try:
         return Scenario(
             effect=num("effect"),
-            confounder=ConfounderSpec(
-                kind=values["confounder_kind"],
-                lc=num("confounder_lc"),
-                t=num("confounder_t"),
-                uc=num("confounder_uc"),
-                sd=num("confounder_sd", 1.0),
-            ),
+            confounder=ConfounderSpec(kind=values["confounder_kind"], **spec("confounder_")),
             time_effect=values["time_effect"],
-            tau=num("tau_shift", 0.0),
-            gamma=num("gamma", 0.0),
-            noise_sd=num("noise_sd", 0.0),
-            n_per_cell=int(num("n_per_cell", 100)),
             drift=drift,
+            **{f: num(key, kind) for key, (f, kind) in optional.items() if key in values},
         )
     except InvalidScenarioError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from None
 
 
 def load_scenario(path):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
-    values = parse_config_text(
-        path.read_text(encoding="utf-8"), str(path), allowed=SCENARIO_KEYS
-    )
-    return scenario_from_values(values)
+    return scenario_from_values(_read_config_file(path, "scenario", SCENARIO_KEYS))
 
 
 # --- emission ----------------------------------------------------------------

@@ -297,6 +297,7 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
     so the resulting bracket failure is observed, not asserted away.
     """
     check_reps("bracket", reps)
+    check_seed(seed)
     lc = np.empty(reps)
     uc = np.empty(reps)
     start = 0
@@ -358,6 +359,7 @@ def coverage_experiment(
 ) -> CoverageResult:
     """Fraction of replications whose min-max interval contains the effect."""
     check_reps("coverage", reps)
+    check_seed(seed)
     effect = scenario.effect
     hits = sum(
         int(np.count_nonzero((lower <= effect) & (effect <= upper)))
@@ -418,6 +420,7 @@ def synthetic_control_comparison(
         mode = "analytic"
     else:
         check_reps("synthetic_control", reps)
+        check_seed(seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         u_lower = rng.exponential(SYNTH_LOWER_SCALE, reps)
         u_upper = rng.exponential(SYNTH_UPPER_SCALE, reps)

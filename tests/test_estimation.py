@@ -72,10 +72,29 @@ def test_quantile_antisymmetry(p):
     assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-9)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
 def test_quantile_domain(p):
     with pytest.raises(OutOfDomainError):
         normal_quantile(p)
+
+
+# Exact bits of the quantile at the shipped alphas and at one p in each
+# AS241 branch (central edge, r <= 5, r > 5). Every interval in the reports
+# is built from these, so an interpreter whose quantile differs in the last
+# bit fails here instead of changing output bytes.
+@pytest.mark.parametrize(
+    "p, bits",
+    [
+        (0.975, "0x1.f5c0331eeff82p+0"),
+        (0.95, "0x1.a515209676ab8p+0"),
+        (0.995, "0x1.49b4c64d6915fp+1"),
+        (0.5 + 0.425, "0x1.7085226d3e524p+0"),
+        (1e-10, "-0x1.97203597a2154p+2"),
+        (1e-300, "-0x1.286074064c26ep+5"),
+    ],
+)
+def test_quantile_bits_pinned(p, bits):
+    assert normal_quantile(p).hex() == bits
 
 
 def test_cdf_quantile_roundtrip():

@@ -604,6 +604,42 @@ def test_overflowing_scenario_exits_3_with_one_line(tmp_path, mode, drift_uc, me
     assert not out.exists()
 
 
+_MINIMAL_SCENARIO = (
+    "effect = 1.0\nconfounder_kind = normal\nconfounder_lc = 0.0\n"
+    "confounder_t = 1.0\nconfounder_uc = 2.0\ntime_effect = additive\n"
+)
+
+
+def test_scenario_file_keys_left_out_take_the_dataclass_defaults(tmp_path):
+    from didbracket.io import load_scenario
+    from didbracket.simulation import ConfounderSpec, Scenario
+
+    path = tmp_path / "minimal.tomlish"
+    path.write_text(_MINIMAL_SCENARIO, encoding="utf-8")
+    assert load_scenario(path) == Scenario(
+        effect=1.0, confounder=ConfounderSpec("normal", 0.0, 1.0, 2.0), time_effect="additive"
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["n_per_cell = 2.5", "n_per_cell = 1e400", "n_per_cell = nan", "effect = nan",
+     "tau_shift = nan", "gamma = inf"],
+)
+def test_bad_scenario_file_number_exits_2_with_one_line(tmp_path, line):
+    # The line comes last, so a key it repeats takes its value.
+    key = line.split(" ")[0]
+    kept = [kv for kv in _MINIMAL_SCENARIO.splitlines() if not kv.startswith(key + " ")]
+    scenario = tmp_path / "bad.tomlish"
+    scenario.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["simulate", "--scenario", str(scenario), "--reps", "10", "--out-dir", str(out)]
+    )
+    assert_config_error(code, stdout, stderr, out)
+    assert stderr.startswith(f"Config: {key}: ")
+
+
 def test_simulate_unknown_scenario_exits_2(tmp_path, capsys):
     code = run_cli(
         ["simulate", "--scenario", "no_such_scenario", "--reps", "100",
@@ -796,6 +832,48 @@ def test_missing_input_with_newline_exits_3_with_one_line(tmp_path, flag, name):
     assert stdout == ""
     assert stderr.startswith("FileNotFound: ") and stderr.count("\n") == 1
     assert "\r" not in stderr and stderr.endswith("such.csv\n")
+    assert not out.exists()
+
+
+_PAPER = str(PAPER_CONFIG)
+_EMPTY_PANEL = PAPER_CONFIG.read_bytes().replace(b"panel = bundled", b"panel =")
+
+
+@pytest.mark.parametrize(
+    "argv, content, expected_code, prefix",
+    [
+        (["analyze", "--config", _PAPER, "--panel", "{dir}"], None, 3,
+         "FileNotFound: panel file not found: {dir}"),
+        (["analyze", "--config", "{file}"], _EMPTY_PANEL, 3,
+         "FileNotFound: panel file not found: "),
+        (["analyze", "--config", _PAPER, "--adjacency", "{dir}"], None, 3,
+         "FileNotFound: adjacency file not found: {dir}"),
+        (["analyze", "--config", _PAPER, "--panel", "{file}"],
+         b"unit,year,rate,population\nMissouri\xff,1999,1,1\n", 3,
+         "Data: {file}: not UTF-8 text"),
+        (["analyze", "--config", _PAPER, "--adjacency", "{file}"],
+         b"unit_a,unit_b\nMissouri,\xff\n", 3, "Data: {file}: not UTF-8 text"),
+        (["simulate", "--config", "{file}"], b"alpha = 0.1\n# \xff\n", 2,
+         "Config: {file}: not UTF-8 text"),
+        (["simulate", "--scenario", "{file}"], _MINIMAL_SCENARIO.encode() + b"# \xff\n", 2,
+         "Config: {file}: not UTF-8 text"),
+    ],
+    ids=["panel directory", "empty panel value", "adjacency directory", "panel not UTF-8",
+         "adjacency not UTF-8", "config not UTF-8", "scenario not UTF-8"],
+)
+def test_directory_or_non_utf8_input_exits_cleanly_with_one_line(
+    tmp_path, argv, content, expected_code, prefix
+):
+    names = {"dir": tmp_path, "file": tmp_path / "input.txt"}
+    if content is not None:
+        names["file"].write_bytes(content)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        [arg.format(**names) for arg in argv] + ["--out-dir", str(out)]
+    )
+    assert code == expected_code
+    assert stdout == ""
+    assert stderr.startswith(prefix.format(**names)) and stderr.count("\n") == 1
     assert not out.exists()
 
 

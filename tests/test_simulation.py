@@ -159,6 +159,20 @@ def test_verify_bracketing_requires_reps():
         verify_bracketing(linear_scenario(), reps=0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda: verify_bracketing(linear_scenario(), reps=10, seed=-1),
+        lambda: coverage_experiment(linear_scenario(), reps=100, alpha=0.05, seed=-1),
+        lambda: synthetic_control_comparison(0.35, analytic=False, reps=10, seed=-1),
+    ],
+    ids=["verify_bracketing", "coverage_experiment", "synthetic_control_comparison"],
+)
+def test_library_entry_points_refuse_a_negative_seed(experiment):
+    with pytest.raises(OutOfDomainError, match=r"^seed must be >= 0, got -1$"):
+        experiment()
+
+
 def test_verify_bracketing_rejects_a_single_replication():
     # One draw has no spread: mcse would be 0 and the verdict would have no slack.
     with pytest.raises(OutOfDomainError, match="reps must be >= 2"):
