@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagnostics import pattern_test
-from .errors import EmptyBracketError, LevelMismatchError, MissingSEError
+from .errors import EmptyBracketError, LevelMismatchError
 from .estimation import (
     did_point,
     did_se,
+    mean_gap,
     pct_change,
     pct_change_se_delta,
     pct_ci_scaled,
@@ -30,17 +31,10 @@ from .model import (
 
 @dataclass(frozen=True)
 class ControlGroups:
-    """Result of pre-study classification of candidate control units.
-
-    ``ties`` lists candidates whose pre-study mean equals the treated
-    unit's exactly; they support neither bracket direction and are left
-    unassigned.
-    """
+    """Pre-study classification of candidates; an exact tie is in neither group."""
 
     lower: frozenset
     upper: frozenset
-    treated_prestudy_mean: float
-    ties: frozenset
 
 
 def _summarizer(panel: PanelDataset, summary):
@@ -64,21 +58,14 @@ def classify_candidates(
     """
     summary = _summarizer(panel, summary)
     treated_mean = summary({treated}, prestudy).mean
-    lower, upper, ties = set(), set(), set()
+    lower, upper = set(), set()
     for unit in sorted(set(candidates) - {treated}):
         mean = summary({unit}, prestudy).mean
         if mean < treated_mean:
             lower.add(unit)
         elif mean > treated_mean:
             upper.add(unit)
-        else:
-            ties.add(unit)
-    return ControlGroups(
-        lower=frozenset(lower),
-        upper=frozenset(upper),
-        treated_prestudy_mean=treated_mean,
-        ties=frozenset(ties),
-    )
+    return ControlGroups(lower=frozenset(lower), upper=frozenset(upper))
 
 
 def construct_control_groups(
@@ -105,21 +92,16 @@ def validate_ordering(
     treated = weighted_period_mean(panel, {design.treated}, period)
     lower = weighted_period_mean(panel, design.lower_controls, period)
     upper = weighted_period_mean(panel, design.upper_controls, period)
-    if any(s.se is None for s in (treated, lower, upper)):
-        raise MissingSEError("ordering validation needs SEs for all three groups")
-
-    d_ut = upper.mean - treated.mean
-    d_tl = treated.mean - lower.mean
-    se_ut = (upper.se**2 + treated.se**2) ** 0.5
-    se_tl = (treated.se**2 + lower.se**2) ** 0.5
+    d_ut, var_ut = mean_gap(upper, treated)
+    d_tl, var_tl = mean_gap(treated, lower)
     flags = []
     if d_ut <= 0:
         flags.append("OrderingViolation:upper_not_above_treated")
     if d_tl <= 0:
         flags.append("OrderingViolation:treated_not_above_lower")
     return OrderingReport(
-        diff_uc_minus_t=DiffEstimate(d_ut, wald_ci(d_ut, se_ut, alpha)),
-        diff_t_minus_lc=DiffEstimate(d_tl, wald_ci(d_tl, se_tl, alpha)),
+        diff_uc_minus_t=DiffEstimate(d_ut, wald_ci(d_ut, var_ut**0.5, alpha)),
+        diff_t_minus_lc=DiffEstimate(d_tl, wald_ci(d_tl, var_tl**0.5, alpha)),
         period=period,
         flags=tuple(flags),
     )

@@ -58,8 +58,8 @@ def _resolved_design(cfg):
         except BadSplitError as exc:
             raise ConfigError(str(exc)) from None
     panel = _load_panel(cfg)
-    # Explicit control lists win; else candidates (default: neighbours) are classified.
-    if cfg.lower_controls and cfg.upper_controls:
+    # Explicit control lists (config gives both or neither) win; else candidates are classified.
+    if cfg.lower_controls:
         lower, upper = cfg.lower_controls, cfg.upper_controls
     else:
         if cfg.candidates in ((), ("neighbors",)):

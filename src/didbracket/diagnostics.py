@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadSplitError, EmptyGroupError, MissingSEError, OutOfDomainError
-from .estimation import normal_cdf, wald_ci, weighted_period_mean
+from .estimation import mean_gap, normal_cdf, wald_ci, weighted_period_mean
 from .model import PanelDataset, PeriodRange, StudyDesign
 
 PATTERNS = ("iii", "iv")
@@ -28,14 +28,6 @@ class PatternTestReport:
     iu_pvalue: float
     evidence: bool
     alpha: float
-
-
-def _gap(panel, group_hi, group_lo, period):
-    hi = weighted_period_mean(panel, group_hi, period)
-    lo = weighted_period_mean(panel, group_lo, period)
-    if hi.se is None or lo.se is None:
-        raise MissingSEError("gap tests need SEs for both groups in both sub-periods")
-    return hi.mean - lo.mean, hi.se**2 + lo.se**2
 
 
 def gap_change_test(
@@ -54,8 +46,10 @@ def gap_change_test(
     """
     if direction not in DIRECTIONS:
         raise OutOfDomainError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    gap1, var1 = _gap(panel, group_hi, group_lo, first)
-    gap2, var2 = _gap(panel, group_hi, group_lo, second)
+    (gap1, var1), (gap2, var2) = [
+        mean_gap(*(weighted_period_mean(panel, group, sub) for group in (group_hi, group_lo)))
+        for sub in (first, second)
+    ]
     se = (var1 + var2) ** 0.5
     if se == 0:
         # Degenerate reference: the sign decides, equal gaps split the mass.

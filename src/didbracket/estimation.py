@@ -1,4 +1,4 @@
-"""Estimators: weighted summaries, DiD points and SEs, percent changes, CIs.
+"""Estimators: weighted summaries, gaps, DiD points and SEs, percent changes, CIs.
 
 The four DiD cells (treated/control x before/after) are treated as
 independent throughout, so SEs combine in quadrature. All functions are
@@ -86,6 +86,13 @@ def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> Per
     return PeriodSummary(mean=mean, se=se, total_weight=total_weight)
 
 
+def mean_gap(hi: PeriodSummary, lo: PeriodSummary) -> tuple:
+    """``(hi.mean - lo.mean, variance)``: a gap between two group means, SEs in quadrature."""
+    if hi.se is None or lo.se is None:
+        raise MissingSEError("a gap between group means needs the SEs of both groups")
+    return hi.mean - lo.mean, hi.se**2 + lo.se**2
+
+
 def poisson_rate_se(deaths: int, population: int) -> float:
     """SE of a crude rate per 100,000 under a Poisson count model."""
     if deaths < 0:
@@ -154,15 +161,23 @@ def wald_ci(point: float, se: float, alpha: float) -> ConfInterval:
     """Two-sided normal interval, the intersection of two one-sided 1 - alpha/2 intervals."""
     if se < 0:
         raise OutOfDomainError("se must be >= 0")
-    z = wald_z(alpha)
-    return ConfInterval(point - z * se, point + z * se, level=1.0 - alpha)
+    return ConfInterval(*wald_ends(point, se, wald_z(alpha)), level=1.0 - alpha)
+
+
+def wald_ends(point, se, z):
+    """The endpoints ``point -/+ z * se`` of a Wald interval: floats, or numpy arrays."""
+    half = z * se
+    return point - half, point + half
 
 
 def pct_denominator(
     t_before: PeriodSummary, c_before: PeriodSummary, c_after: PeriodSummary
 ) -> float:
-    """Counterfactual after-period mean: treated baseline plus the control change."""
-    return t_before.mean + (c_after.mean - c_before.mean)
+    """Counterfactual after-period mean, treated baseline plus control change; must be > 0."""
+    denom = t_before.mean + (c_after.mean - c_before.mean)
+    if denom <= 0:
+        raise NonpositiveDenominatorError(f"percent denominator {denom} is not positive")
+    return denom
 
 
 def pct_change(
@@ -173,8 +188,6 @@ def pct_change(
 ):
     """Percent change implied by a DiD point; returns (pct_point, denom)."""
     denom = pct_denominator(t_before, c_before, c_after)
-    if denom <= 0:
-        raise NonpositiveDenominatorError(f"percent denominator {denom} is not positive")
     return 100.0 * point / denom, denom
 
 
@@ -196,8 +209,6 @@ def pct_change_se_delta(
     )
     a = did_point(t_before, t_after, c_before, c_after)
     b = pct_denominator(t_before, c_before, c_after)
-    if b <= 0:
-        raise NonpositiveDenominatorError(f"percent denominator {b} is not positive")
     d_ta = 100.0 / b
     d_tb = -100.0 * (a + b) / (b * b)
     d_ca = -100.0 * (a + b) / (b * b)

@@ -36,6 +36,7 @@ from .model import (
     PanelDataset,
     PeriodRange,
     StudyDesign,
+    canonical_edge,
     check_record_values,
 )
 from .simulation import ConfounderSpec, DriftSpec, Scenario
@@ -74,7 +75,10 @@ def _conversion_error(path, line_no: int, row, idx) -> ParseError:
 
 @contextmanager
 def _csv_file(path: Path, kind: str):
-    """The stripped header and a reader over the rest of a UTF-8 CSV file."""
+    """The stripped header and a reader over the rest of a UTF-8 CSV file.
+
+    A line the csv module refuses (a field over its size limit) is a ParseError.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"{kind} file not found: {path}")
     try:
@@ -87,6 +91,8 @@ def _csv_file(path: Path, kind: str):
             yield [c.strip() for c in header], reader
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, str(exc)) from None
 
 
 def parse_panel_csv(path) -> PanelDataset:
@@ -158,28 +164,20 @@ def parse_adjacency_csv(path) -> AdjacencyGraph:
     with _csv_file(path, "adjacency") as (cols, reader):
         if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
-        pairs = []
+        edges = set()
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2 or not row[0].strip() or not row[1].strip():
                 raise ParseError(path, line_no, "expected two nonempty fields")
-            a, b = row[0].strip(), row[1].strip()
-            if a == b:
-                raise ParseError(path, line_no, f"self-edge on {a!r}")
-            pairs.append((a, b))
-    return AdjacencyGraph.from_pairs(pairs)
+            try:
+                edges.add(canonical_edge(row[0].strip(), row[1].strip()))
+            except DataError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+    return AdjacencyGraph(edges=frozenset(edges))
 
 
 # --- configuration -----------------------------------------------------------
-
-CONFIG_KEYS = {
-    "panel", "adjacency", "treated", "candidates", "lower_controls",
-    "upper_controls", "prestudy", "before", "after", "alpha", "split_year",
-    "exclusions", "format", "emit_plots", "out_dir", "seed", "reps",
-    "scenario", "mode", "tau", "bin_width", "rank_unit",
-}
-
 
 _CHOICES = {"format": ("json", "csv"), "mode": ("bracket", "coverage", "synthetic_control")}
 
@@ -216,6 +214,9 @@ class AnalysisConfig:
         for key in keys:
             if getattr(self, key) in (None, ""):
                 raise ConfigError(f"missing required config key {key!r}")
+
+
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(AnalysisConfig))
 
 
 def parse_period(text: str) -> PeriodRange:
@@ -302,6 +303,8 @@ def config_from_values(values: dict) -> AnalysisConfig:
                 f"periods must be ordered prestudy < before < after: "
                 f"{key_a} {a} does not precede {key_b} {b}"
             )
+    if bool(cfg.lower_controls) != bool(cfg.upper_controls):
+        raise ConfigError("lower_controls and upper_controls must be given together")
     return cfg
 
 
@@ -606,6 +609,18 @@ def _scale(vmin, vmax, size, pad):
     return lambda v: pad + (v - vmin) / span * (size - 2 * pad)
 
 
+def _svg_document(elements) -> str:
+    """An SVG file: the head, a white background, ``elements`` one a line, the close.
+
+    With no elements it is the empty document, head and close on one line.
+    """
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">'
+    if not elements:
+        return f"{head}</svg>\n"
+    background = f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>'
+    return "\n".join([head, background, *elements, "</svg>"]) + "\n"
+
+
 def line_chart_svg(rows) -> str:
     """Static line chart with CI bars from relative-trends rows."""
     xs = [r.year for r in rows]
@@ -614,10 +629,7 @@ def line_chart_svg(rows) -> str:
     sx = _scale(min(xs), max(xs), _SVG_W, _SVG_PAD)
     sy_raw = _scale(min(los), max(his), _SVG_H, _SVG_PAD)
     sy = lambda v: _SVG_H - sy_raw(v)  # noqa: E731  (flip: SVG y grows downward)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-    ]
+    parts = []
     groups = sorted({r.group for r in rows})
     for group in groups:
         color = _SERIES_COLORS.get(group, "#555555")
@@ -637,26 +649,19 @@ def line_chart_svg(rows) -> str:
             f'<text x="{_SVG_W - _SVG_PAD + 4}" y="{sy(series[-1].mean):.2f}" '
             f'fill="{color}" font-size="12">{group}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(parts)
 
 
 def histogram_svg(bins, marker: Optional[float] = None) -> str:
     """Static histogram; optional dashed vertical marker (e.g. the treated unit)."""
     if not bins:
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">'
-            "</svg>\n"
-        )
+        return _svg_document(())
     vmin = min(b.lower for b in bins)
     vmax = max(b.upper for b in bins)
     cmax = max(b.count for b in bins)
     sx = _scale(vmin, vmax, _SVG_W, _SVG_PAD)
     sy = _scale(0, cmax, _SVG_H, _SVG_PAD)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-    ]
+    parts = []
     for b in bins:
         x0, x1 = sx(b.lower), sx(b.upper)
         height = sy(b.count) - sy(0)
@@ -671,5 +676,4 @@ def histogram_svg(bins, marker: Optional[float] = None) -> str:
             f'<line x1="{x:.2f}" y1="{_SVG_PAD}" x2="{x:.2f}" y2="{_SVG_H - _SVG_PAD}" '
             'stroke="black" stroke-dasharray="6 4"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(parts)

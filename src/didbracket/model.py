@@ -7,6 +7,7 @@ instances are safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
@@ -126,6 +127,13 @@ class PanelDataset:
 _EMPTY_ROW = MappingProxyType({})
 
 
+def canonical_edge(a: str, b: str) -> tuple:
+    """The undirected edge between ``a`` and ``b`` as a sorted pair; DataError on a self-edge."""
+    if a == b:
+        raise DataError(f"self-edge on {a!r}")
+    return (a, b) if a < b else (b, a)
+
+
 @dataclass(frozen=True)
 class AdjacencyGraph:
     """Undirected unit adjacency; edges are canonical sorted pairs.
@@ -139,28 +147,17 @@ class AdjacencyGraph:
     _neighbors: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        adjacent = {}
+        adjacent = defaultdict(list)
         for a, b in self.edges:
-            if a in adjacent:
-                adjacent[a].append(b)
-            else:
-                adjacent[a] = [b]
-            if b in adjacent:
-                adjacent[b].append(a)
-            else:
-                adjacent[b] = [a]
+            adjacent[a].append(b)
+            adjacent[b].append(a)
         object.__setattr__(
             self, "_neighbors", {unit: frozenset(nbrs) for unit, nbrs in adjacent.items()}
         )
 
     @classmethod
     def from_pairs(cls, pairs) -> "AdjacencyGraph":
-        edges = set()
-        for a, b in pairs:
-            if a == b:
-                raise DataError(f"self-edge on {a!r}")
-            edges.add((a, b) if a < b else (b, a))
-        return cls(edges=frozenset(edges))
+        return cls(edges=frozenset(canonical_edge(a, b) for a, b in pairs))
 
     def neighbors(self, unit: str) -> frozenset:
         return self._neighbors.get(unit, frozenset())

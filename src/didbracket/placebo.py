@@ -17,6 +17,7 @@ unit's before and after cells) are computed once a study; see
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -182,9 +183,7 @@ def histogram_export(results, arm: str, bin_width: float) -> tuple:
             f"more than {MAX_HIST_BINS}"
         )
     first, last = math.floor(lo), math.floor(hi)
-    counts = {k: 0 for k in range(first, last + 1)}
-    for v in values:
-        counts[math.floor(v / bin_width)] += 1
+    counts = Counter(math.floor(v / bin_width) for v in values)
     return tuple(
         HistBin(lower=k * bin_width, upper=(k + 1) * bin_width, count=counts[k])
         for k in range(first, last + 1)

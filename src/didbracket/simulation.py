@@ -21,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
+from .bracketing import bracket_bounds
 from .errors import InvalidScenarioError, OutOfDomainError
-from .estimation import did_of_means, did_variance, wald_z
+from .estimation import did_of_means, did_variance, wald_ends, wald_z
 
 GROUPS = ("lc", "t", "uc")
 TIME_EFFECTS = ("additive", "linear_interaction", "convex_after")
@@ -309,7 +310,7 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
     mean_lc, mcse_lc = _mc_summary(lc, "lower-control")
     mean_uc, mcse_uc = _mc_summary(uc, "upper-control")
     slack = 3.0 * max(mcse_lc, mcse_uc)
-    lo, hi = min(mean_lc, mean_uc), max(mean_lc, mean_uc)
+    lo, hi = bracket_bounds(mean_lc, mean_uc)
     return McReport(
         reps=reps,
         true_effect=scenario.effect,
@@ -333,8 +334,8 @@ class CoverageResult:
 def _minmax_intervals(scenario: Scenario, reps: int, alpha: float, seed: int):
     """Yield each chunk's min-max intervals: (lower, upper), one entry a replication.
 
-    Each arm's interval has wald_ci's endpoints around the arm's point, with
-    did_se's SE; the arms combine as in minmax_ci, by the minimum of the
+    Each arm's interval is wald_ends around the arm's point, with did_se's
+    SE, as in wald_ci; the arms combine as in minmax_ci, by the minimum of the
     lower endpoints and the maximum of the upper ones. Finite cells can
     still give a point or a variance that overflows, so each endpoint is
     checked: one that is not finite raises OutOfDomainError naming the
@@ -346,8 +347,7 @@ def _minmax_intervals(scenario: Scenario, reps: int, alpha: float, seed: int):
         ends = []
         with np.errstate(over="ignore", invalid="ignore"):
             for point, variance in zip(_arms(means, did_of_means), _arms(ses, did_variance)):
-                half = z * np.sqrt(variance)
-                ends += [point - half, point + half]
+                ends += wald_ends(point, np.sqrt(variance), z)
         _check_finite(np.stack(ends, axis=1), ARM_ENDS, start)
         lower_lc, upper_lc, lower_uc, upper_uc = ends
         start += len(means)
@@ -394,7 +394,6 @@ class SynthControlResult:
     synthetic_after_mean: float
     counterfactual_after_mean: float
     bias: float
-    mode: str
 
 
 def synthetic_control_comparison(
@@ -417,7 +416,6 @@ def synthetic_control_comparison(
         synth_before = w_lower * SYNTH_LOWER_SCALE + w_upper * SYNTH_UPPER_SCALE
         synth_after = w_lower / (1.0 - SYNTH_LOWER_SCALE) + w_upper / (1.0 - SYNTH_UPPER_SCALE)
         counterfactual = 1.0 / (1.0 - tau)
-        mode = "analytic"
     else:
         check_reps("synthetic_control", reps)
         check_seed(seed)
@@ -430,7 +428,6 @@ def synthetic_control_comparison(
             np.exp(u_upper).mean()
         )
         counterfactual = float(np.exp(u_treated).mean())
-        mode = "monte_carlo"
     return SynthControlResult(
         tau=tau,
         weight_lower=w_lower,
@@ -439,7 +436,6 @@ def synthetic_control_comparison(
         synthetic_after_mean=synth_after,
         counterfactual_after_mean=counterfactual,
         bias=synth_after - counterfactual,
-        mode=mode,
     )
 
 

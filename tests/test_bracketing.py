@@ -33,8 +33,10 @@ def test_construct_groups_reproduces_published_sets(bundled_panel):
     )
     assert groups.lower == {"Iowa", "Kansas", "Kentucky", "Nebraska", "Oklahoma"}
     assert groups.upper == {"Arkansas", "Illinois", "Tennessee"}
-    assert groups.treated_prestudy_mean == pytest.approx(6.1, abs=0.01)
-    assert groups.ties == frozenset()
+    assert weighted_period_mean(bundled_panel, {"Missouri"}, PRESTUDY).mean == pytest.approx(
+        6.1, abs=0.01
+    )
+    assert groups.lower | groups.upper == bundled_panel.units - {"Missouri"}  # no ties
 
 
 def test_construct_groups_one_sided_raises():
@@ -55,7 +57,7 @@ def test_exact_tie_left_unassigned():
         {"t": {1994: 5.0}, "tie": {1994: 5.0}, "lo": {1994: 1.0}, "hi": {1994: 9.0}}
     )
     groups = classify_candidates(panel, "t", {"tie", "lo", "hi"}, PeriodRange(1994, 1994))
-    assert groups.ties == {"tie"}
+    assert "tie" not in groups.lower | groups.upper
     assert groups.lower == {"lo"} and groups.upper == {"hi"}
 
 

@@ -216,6 +216,11 @@ _PERIODS = st.tuples(
     for i, key in enumerate(("prestudy", "before", "after"))
 })
 
+# Explicit control groups, both set or both unset (the config rejects one alone).
+_CONTROLS = st.just({}) | st.tuples(_ITEMS.filter(bool), _ITEMS.filter(bool)).map(
+    lambda pair: {"lower_controls": pair[0], "upper_controls": pair[1]}
+)
+
 
 def _config_text(cfg: AnalysisConfig, order) -> str:
     """``cfg`` written in the config grammar, one line per set key, in ``order``."""
@@ -242,7 +247,7 @@ def _config_text(cfg: AnalysisConfig, order) -> str:
         AnalysisConfig,
         panel=_WORDS, adjacency=_WORDS, out_dir=_WORDS, scenario=_WORDS,
         treated=st.none() | _WORDS, rank_unit=st.none() | _WORDS,
-        candidates=_ITEMS, lower_controls=_ITEMS, upper_controls=_ITEMS, exclusions=_ITEMS,
+        candidates=_ITEMS, exclusions=_ITEMS,
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         tau=st.floats(allow_nan=False),
         bin_width=st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -252,12 +257,13 @@ def _config_text(cfg: AnalysisConfig, order) -> str:
         emit_plots=st.booleans(),
     ),
     periods=_PERIODS,
+    controls=_CONTROLS,
     order=st.randoms(use_true_random=False),
 )
 @settings(max_examples=150, deadline=None)
-def test_config_text_round_trip(tmp_path_factory, cfg, periods, order):
+def test_config_text_round_trip(tmp_path_factory, cfg, periods, controls, order):
     # Periods use non-negative years: the grammar reads a leading '-' as the separator.
-    cfg = dataclasses.replace(cfg, **periods)
+    cfg = dataclasses.replace(cfg, **periods, **controls)
     path = tmp_path_factory.mktemp("cfg") / "run.conf"
     path.write_text(_config_text(cfg, order), encoding="utf-8")
     assert load_config(path) == cfg
@@ -1034,3 +1040,78 @@ def test_write_files_into_new_and_existing_directories(tmp_path):
         "x.txt": "1\n", "y.txt": "3\n", "z.txt": "4\n"}
     assert [p.name for p in tmp_path.iterdir()] == ["a"]
     assert [p.name for p in (tmp_path / "a").iterdir()] == ["b"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, header, row",
+    [("analyze", "--panel", "unit,year,rate,population", "{big},1999,1.0,100"),
+     ("placebo", "--adjacency", "unit_a,unit_b", "Missouri,{big}")],
+    ids=["panel", "adjacency"],
+)
+def test_csv_field_over_the_size_limit_exits_3_with_one_line(tmp_path, command, flag, header, row):
+    path = tmp_path / "big.csv"
+    path.write_text(f"{header}\n{row.format(big='x' * 200_000)}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        [command, "--config", _PAPER, flag, str(path), "--out-dir", str(out)]
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == f"Parse: {path}:2: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["lower_controls", "upper_controls"])
+def test_one_explicit_control_group_exits_2_before_any_input_is_read(tmp_path, key):
+    config = tmp_path / "one_sided.conf"
+    config.write_text(PAPER_CONFIG.read_text(encoding="utf-8") + f"{key} = Iowa\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["analyze", "--config", str(config), "--panel", str(tmp_path / "not_read.csv"),
+         "--out-dir", str(out)]
+    )
+    assert_config_error(code, stdout, stderr, out)
+    assert stderr == "Config: lower_controls and upper_controls must be given together\n"
+
+
+def test_explicit_control_groups_are_used_as_given(tmp_path):
+    # The adjacency is never read: no candidate is classified.
+    config = tmp_path / "explicit.conf"
+    config.write_text(
+        PAPER_CONFIG.read_text(encoding="utf-8")
+        + "lower_controls = Iowa, Kansas\nupper_controls = Illinois\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, _, stderr = run_captured(
+        ["analyze", "--config", str(config), "--adjacency", str(tmp_path / "not_read.csv"),
+         "--out-dir", str(out)]
+    )
+    assert (code, stderr) == (0, "")
+    design = json.loads((out / "bracket_report.json").read_text(encoding="utf-8"))["design"]
+    assert design["lower_controls"] == ["Iowa", "Kansas"]
+    assert design["upper_controls"] == ["Illinois"]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("unit_a,unit_c\nOhio,Iowa\n", "Schema: {path}: header must be exactly unit_a,unit_b"),
+        ("unit_a,unit_b\nOhio\n", "Parse: {path}:2: expected two nonempty fields"),
+        ("unit_a,unit_b\nOhio,Iowa,Kansas\n", "Parse: {path}:2: expected two nonempty fields"),
+        ("unit_a,unit_b\nOhio, \n", "Parse: {path}:2: expected two nonempty fields"),
+        ("unit_a,unit_b\nIowa,Ohio\n\nOhio,Ohio\n", "Parse: {path}:4: self-edge on 'Ohio'"),
+    ],
+    ids=["wrong header", "one field", "three fields", "blank field", "self-edge"],
+)
+def test_adjacency_parse_errors_exit_3_with_one_line(tmp_path, text, expected):
+    path = tmp_path / "adj.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["placebo", "--config", _PAPER, "--adjacency", str(path), "--out-dir", str(out)]
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr == expected.format(path=path) + "\n"
+    assert not out.exists()

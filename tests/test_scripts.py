@@ -1,13 +1,16 @@
 """The scripts under scripts/ and the README's library example use only names
-the package still exports."""
+the package still exports, and the README's config keys are the config's."""
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import re
 from pathlib import Path
 
 import pytest
+
+from didbracket.io import AnalysisConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -30,3 +33,13 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], "README.md: Library use", "exec"), {})
     assert out.getvalue().count("\n") == 1  # the bracket and the min-max interval
+
+
+def test_readme_config_keys_are_the_config_fields():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Config grammar\n", 1)[1]
+    keys_text = section.split("Keys:", 1)[1].split("\n\n", 1)[0]
+    # Parentheses hold value words (`neighbors`, `json`, `csv`), not keys.
+    keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys_text))
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in dataclasses.fields(AnalysisConfig)}
