@@ -2,8 +2,9 @@
 
 Configuration comes from defaults, then an optional config file, then
 flags (flags win). Flags are plain strings; ``io.config_from_values``
-types and checks every value, and ``io.check_out_dir`` refuses an output
-directory that names a file, before any input file is read. Commands
+types and checks them (``split_year``, ``reps``, ``seed`` and ``tau`` go
+through the library's own checks here), and ``io.check_out_dir`` refuses
+an output directory that names a file, before any input file is read. Commands
 compute everything and return their files; ``main`` writes them only
 once the command has finished, all or none (``io.write_files``), so a
 failed run leaves no output directory and no partial one. Exit
