@@ -18,7 +18,7 @@ from .errors import (
     NonpositiveDenominatorError,
     OutOfDomainError,
 )
-from .model import ConfInterval, PanelDataset, PeriodRange, PeriodSummary
+from .model import MAX_COUNT, ConfInterval, PanelDataset, PeriodRange, PeriodSummary
 
 RATE_SCALE = 100_000.0
 
@@ -99,6 +99,10 @@ def poisson_rate_se(deaths: int, population: int) -> float:
         raise OutOfDomainError("deaths must be >= 0")
     if population <= 0:
         raise OutOfDomainError("population must be positive")
+    if deaths > MAX_COUNT:
+        raise OutOfDomainError("deaths must be at most 2**53")
+    if population > MAX_COUNT:
+        raise OutOfDomainError("population must be at most 2**53")
     return math.sqrt(deaths) / population * RATE_SCALE
 
 

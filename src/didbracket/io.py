@@ -100,8 +100,9 @@ def parse_panel_csv(path) -> PanelDataset:
 
     Header required; columns must be unit,year,rate,population plus
     optionally se and deaths. Rows carrying deaths but no se get the
-    Poisson-model se derived for them. Any malformed row aborts with its
-    line number; the value ranges are ``model.check_record_values``. A
+    Poisson-model se derived for them. Any malformed row aborts with the
+    file line it ends on (a quoted field may hold a newline); the value
+    ranges are ``model.check_record_values``. A
     duplicate (unit, year) is reported once every row has parsed, so a
     later malformed row is reported first.
 
@@ -123,11 +124,11 @@ def parse_panel_csv(path) -> PanelDataset:
         i_se, i_deaths = idx.get("se"), idx.get("deaths")
         rows = {}
         duplicate = None
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != width:
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
+                raise ParseError(path, reader.line_num, f"expected {width} fields, got {len(row)}")
             unit = row[i_unit].strip()
             if not unit and all(not cell.strip() for cell in row):
                 continue
@@ -140,13 +141,13 @@ def parse_panel_csv(path) -> PanelDataset:
                 deaths = row[i_deaths] if i_deaths is not None else ""
                 deaths = int(deaths) if deaths.strip() else None
             except ValueError:
-                raise _conversion_error(path, line_no, row, idx) from None
+                raise _conversion_error(path, reader.line_num, row, idx) from None
             try:
                 if se is None and deaths is not None:
                     se = poisson_rate_se(deaths, population)
                 check_record_values(unit, year, rate, population, se, deaths)
             except DataError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+                raise ParseError(path, reader.line_num, str(exc)) from None
             unit_row = rows.get(unit)
             if unit_row is None:
                 unit_row = rows[unit] = {}
@@ -165,15 +166,15 @@ def parse_adjacency_csv(path) -> AdjacencyGraph:
         if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
         edges = set()
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise ParseError(path, line_no, "expected two nonempty fields")
+                raise ParseError(path, reader.line_num, "expected two nonempty fields")
             try:
                 edges.add(canonical_edge(row[0].strip(), row[1].strip()))
             except DataError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+                raise ParseError(path, reader.line_num, str(exc)) from None
     return AdjacencyGraph(edges=frozenset(edges))
 
 

@@ -14,6 +14,12 @@ from typing import Iterator, Mapping, Optional
 
 from .errors import DataError, InvariantError
 
+# The largest population or death count a panel row may hold. Above 2**53
+# float64 no longer holds every integer, and far above it converting a count
+# to float overflows; the bound is an integer comparison, so no count is
+# converted to be checked.
+MAX_COUNT = 2**53
+
 
 def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
     """Raise DataError unless one unit-year's values are in range.
@@ -28,10 +34,14 @@ def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
         raise DataError(f"{unit_id} {year}: rate must be finite and >= 0")
     if population <= 0:
         raise DataError(f"{unit_id} {year}: population must be positive")
+    if population > MAX_COUNT:
+        raise DataError(f"{unit_id} {year}: population must be at most 2**53")
     if se is not None and (not math.isfinite(se) or se < 0):
         raise DataError(f"{unit_id} {year}: se must be finite and >= 0")
     if deaths is not None and deaths < 0:
         raise DataError(f"{unit_id} {year}: deaths must be >= 0")
+    if deaths is not None and deaths > MAX_COUNT:
+        raise DataError(f"{unit_id} {year}: deaths must be at most 2**53")
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,19 @@ the treatment effect added only to the treated-after cell. Replications
 use per-replication child seeds of one named generator (PCG64), so runs
 reproduce across platforms and are order-independent.
 
-The engine draws replications into a fixed-size (chunk, 6, n) buffer and
-reduces each chunk once (cell means, SEs, arm points, min-max intervals as
-arrays), so memory does not grow with the number of replications. Every
-result is bit-identical to reducing one replication at a time.
+The engine works a fixed-size chunk of replications at a time, so memory
+does not grow with the number of replications. Each replication takes its
+standard normal and exponential draws from its own generator, one call per
+run of same-kind draws; the chunk's six cells are then built with array
+arithmetic (numpy's normal is loc + scale * z, its exponential scale * z)
+and reduced once (cell means, SEs, arm points, min-max intervals as
+arrays). Every result is bit-identical to drawing and reducing one
+replication at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -127,9 +132,10 @@ def _time_profile(scenario: Scenario, u: np.ndarray, period: int) -> np.ndarray:
 CELLS = tuple((group, period) for group in GROUPS for period in (0, 1))
 LC0, LC1, T0, T1, UC0, UC1 = range(len(CELLS))
 
-# Replications are drawn into a (chunk, 6, n) float64 buffer of about this
+# Replications are built in a (chunk, 6, n) float64 buffer of about this
 # many bytes and reduced a chunk at a time, so memory does not grow with
-# reps. Larger chunks save no measurable time and raise peak RSS: a 1 MiB
+# reps. Their standard draws sit in a second buffer of 3 to 12 rows a
+# replication, half to twice this size. Larger chunks save no measurable time and raise peak RSS: a 1 MiB
 # buffer (and std's temporary of the same size) cost coverage mode 1.5 MB.
 CHUNK_BYTES = 1 << 18
 
@@ -139,32 +145,64 @@ def chunk_len(n_per_cell: int) -> int:
     return max(1, CHUNK_BYTES // (len(CELLS) * n_per_cell * 8))
 
 
-def _draw_confounder(rng, spec: ConfounderSpec, group: str, n: int) -> np.ndarray:
-    if spec.kind == "normal":
-        return rng.normal(getattr(spec, group), spec.sd, n)
-    return rng.exponential(getattr(spec, group), n)
+# The generator method that takes each kind of draw standard; _build_cells
+# does numpy's loc and scale arithmetic on them chunk-wide.
+_STANDARD_DRAWS = {"normal": "standard_normal", "exponential": "standard_exponential"}
 
 
-def _fill(scenario: Scenario, rng, out: np.ndarray) -> None:
-    """Draw one replication into ``out`` (6, n), cells in CELLS order.
+def _draw_plan(scenario: Scenario) -> tuple:
+    """Draws per group and the runs of same-kind draws of one replication.
 
     Per group the draws are: confounder, drift (if any), then the before
-    and the after noise (if any). This order is part of the output.
+    and the after noise (if any), ``n_per_cell`` values each. This order is
+    part of the output. Each run is (generator method, slice of the
+    replication's draw rows) and is taken in one generator call.
     """
-    n = scenario.n_per_cell
-    noise = scenario.noise_sd
+    per_group = 1 + (scenario.drift is not None) + 2 * bool(scenario.noise_sd)
+    kinds = ([scenario.confounder.kind] + ["normal"] * (per_group - 1)) * len(GROUPS)
+    runs = []
+    start = 0
+    for kind, run in itertools.groupby(kinds):
+        stop = start + len(list(run))
+        runs.append((_STANDARD_DRAWS[kind], slice(start, stop)))
+        start = stop
+    return per_group, tuple(runs)
+
+
+def _normal(z: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """numpy's normal(loc, scale) from standard draws ``z``, in place."""
+    z *= scale
+    z += loc
+    return z
+
+
+def _build_cells(scenario: Scenario, raw: np.ndarray, out: np.ndarray) -> None:
+    """Turn a chunk's standard draws ``raw`` (chunk, draws, n) into its cells.
+
+    ``out`` is (chunk, 6, n), cells in CELLS order; ``raw`` is overwritten.
+    Every value goes through the float operations a one-replication-at-a-time
+    draw would, so the cells are bit-identical to it.
+    """
+    spec, drift, noise = scenario.confounder, scenario.drift, scenario.noise_sd
+    per_group = raw.shape[1] // len(GROUPS)
     for k, group in enumerate(GROUPS):
-        u0 = _draw_confounder(rng, scenario.confounder, group, n)
-        if scenario.drift is not None:
-            u1 = u0 + rng.normal(getattr(scenario.drift, group), scenario.drift.sd, n)
+        rows = iter(raw[:, k * per_group : (k + 1) * per_group].swapaxes(0, 1))
+        u0 = next(rows)
+        if spec.kind == "normal":
+            _normal(u0, getattr(spec, group), spec.sd)
+        else:
+            u0 *= getattr(spec, group)
+        if drift is not None:
+            u1 = _normal(next(rows), getattr(drift, group), drift.sd)
+            np.add(u0, u1, out=u1)
         else:
             u1 = u0
-        eps0 = rng.normal(0.0, noise, n) if noise else 0.0
-        eps1 = rng.normal(0.0, noise, n) if noise else 0.0
-        np.add(_time_profile(scenario, u0, 0), eps0, out=out[2 * k])
-        np.add(_time_profile(scenario, u1, 1), eps1, out=out[2 * k + 1])
+        eps0 = _normal(next(rows), 0.0, noise) if noise else 0.0
+        eps1 = _normal(next(rows), 0.0, noise) if noise else 0.0
+        np.add(_time_profile(scenario, u0, 0), eps0, out=out[:, 2 * k])
+        np.add(_time_profile(scenario, u1, 1), eps1, out=out[:, 2 * k + 1])
         if group == "t":
-            out[2 * k + 1] += scenario.effect
+            out[:, 2 * k + 1] += scenario.effect
 
 
 def _reduce(buf: np.ndarray, with_se: bool) -> tuple:
@@ -217,13 +255,19 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
     a valid 0.0.
     """
     n = scenario.n_per_cell
+    per_group, runs = _draw_plan(scenario)
     root = np.random.SeedSequence(seed)
-    buf = np.empty((min(reps, chunk_len(n)), len(CELLS), n))
-    for start in range(0, reps, len(buf)):
-        chunk = buf[: min(len(buf), reps - start)]
+    size = min(reps, chunk_len(n))
+    buf = np.empty((size, len(CELLS), n))
+    raw = np.empty((size, per_group * len(GROUPS), n))
+    for start in range(0, reps, size):
+        chunk, draws = buf[: reps - start], raw[: reps - start]
+        for rows, child in zip(draws, root.spawn(len(draws))):
+            rng = np.random.default_rng(child)
+            for method, span in runs:
+                getattr(rng, method)(out=rows[span])
         with np.errstate(over="ignore", invalid="ignore"):
-            for out, child in zip(chunk, root.spawn(len(chunk))):
-                _fill(scenario, np.random.default_rng(child), out)
+            _build_cells(scenario, draws, chunk)
             means, ses = _reduce(chunk, with_se)
         _check_finite(means, CELL_MEANS, start)
         if ses is not None:

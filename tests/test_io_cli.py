@@ -1102,8 +1102,10 @@ def test_explicit_control_groups_are_used_as_given(tmp_path):
         ("unit_a,unit_b\nOhio,Iowa,Kansas\n", "Parse: {path}:2: expected two nonempty fields"),
         ("unit_a,unit_b\nOhio, \n", "Parse: {path}:2: expected two nonempty fields"),
         ("unit_a,unit_b\nIowa,Ohio\n\nOhio,Ohio\n", "Parse: {path}:4: self-edge on 'Ohio'"),
+        ('unit_a,unit_b\n"Io\nwa",Ohio\nOhio,Ohio\n', "Parse: {path}:4: self-edge on 'Ohio'"),
     ],
-    ids=["wrong header", "one field", "three fields", "blank field", "self-edge"],
+    ids=["wrong header", "one field", "three fields", "blank field", "self-edge",
+         "self-edge after a multi-line field"],
 )
 def test_adjacency_parse_errors_exit_3_with_one_line(tmp_path, text, expected):
     path = tmp_path / "adj.csv"
@@ -1115,3 +1117,62 @@ def test_adjacency_parse_errors_exit_3_with_one_line(tmp_path, text, expected):
     assert (code, stdout) == (3, "")
     assert stderr == expected.format(path=path) + "\n"
     assert not out.exists()
+
+
+def _analyze_panel(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["analyze", "--config", _PAPER, "--panel", str(path), "--out-dir", str(out)]
+    )
+    assert not out.exists()
+    return code, stdout, stderr.replace(str(path), "{path}")
+
+
+def test_panel_errors_name_the_file_line_after_a_multi_line_field(tmp_path):
+    # Lines 2-3 hold one record whose quoted unit spans a newline.
+    text = 'unit,year,rate,population\n"x\ny",2000,1.0,100\nb,2000,-1,100\n'
+    assert _analyze_panel(tmp_path, text) == (
+        3, "", "Parse: {path}:4: b 2000: rate must be finite and >= 0\n"
+    )
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "header, row, message",
+    [
+        ("unit,year,rate,population,deaths", f"a,2000,1.0,100,{_HUGE}",
+         "deaths must be at most 2**53"),
+        ("unit,year,rate,population,deaths", f"a,2000,1.0,{_HUGE},5",
+         "population must be at most 2**53"),
+        ("unit,year,rate,population", f"a,2000,1.0,{_HUGE}",
+         "a 2000: population must be at most 2**53"),
+        ("unit,year,rate,population,se,deaths", f"a,2000,1.0,100,0.5,{2**53 + 1}",
+         "a 2000: deaths must be at most 2**53"),
+    ],
+    ids=["deaths, se derived", "population, se derived", "population", "deaths, se given"],
+)
+def test_counts_beyond_2_53_exit_3_with_one_parse_line(tmp_path, header, row, message):
+    text = f"{header}\n{row}\n"
+    assert _analyze_panel(tmp_path, text) == (3, "", f"Parse: {{path}}:2: {message}\n")
+
+
+def test_bundled_panel_with_a_huge_population_exits_3(tmp_path):
+    row = "Missouri,2000,4.7,0.289834,5595000"
+    text = dio.bundled_path("missouri_region.csv").read_text(encoding="utf-8")
+    assert row in text
+    text = text.replace(row, f"Missouri,2000,4.7,0.289834,{_HUGE}")
+    code, stdout, stderr = _analyze_panel(tmp_path, text)
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith("Parse: {path}:") and stderr.count("\n") == 1
+    assert stderr.endswith(": Missouri 2000: population must be at most 2**53\n")
+
+
+def test_a_count_of_2_53_is_accepted(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"unit,year,rate,population,deaths\na,2000,1.0,{2**53},{2**53}\n",
+                    encoding="utf-8")
+    assert parse_panel_csv(path).get("a", 2000).population == 2**53

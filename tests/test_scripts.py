@@ -6,22 +6,40 @@ import dataclasses
 import importlib.util
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from didbracket.io import AnalysisConfig
+from didbracket.simulation import shipped_scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
-def test_script_imports(path):
+def _load(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs the imports; main() sits behind __main__
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_script_imports(path):
+    module = _load(path)
     assert callable(getattr(module, "main", None)) or callable(getattr(module, "run", None))
+
+
+def test_mc_script_prints_one_row_per_shipped_scenario(monkeypatch, capsys):
+    module = _load(ROOT / "scripts" / "run_mc_experiments.py")
+    monkeypatch.setattr(sys, "argv", ["run_mc_experiments.py", "--reps", "50",
+                                      "--coverage-reps", "100"])
+    module.main()
+    header, *rows = capsys.readouterr().out.split("\n\n", 1)[0].splitlines()
+    assert header.split() == ["scenario", "mean", "lc", "mean", "uc", "holds", "coverage"]
+    assert [row.split()[0] for row in rows] == sorted(shipped_scenarios())
+    assert all(len(row.split()) >= 5 for row in rows)
 
 
 def test_readme_library_example_runs():

@@ -554,3 +554,46 @@ def test_memory_does_not_grow_with_reps():
 
     small, large = peak(2_000), peak(8_000)
     assert large - small <= 512 * 1024, (small, large)
+
+
+# --- one generator call per run of same-kind draws ---------------------------
+
+
+class _CountingGenerator:
+    """A Generator that adds one to ``counts[-1]`` for every method call."""
+
+    def __init__(self, rng, counts):
+        self._rng = rng
+        self._counts = counts
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._counts[-1] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize(
+    "name, runs",
+    [("additive", 1), ("linear_interaction", 1), ("linear_interaction_neg", 1),
+     ("time_varying", 1), ("convex_after", 6)],
+)
+def test_each_replication_draws_once_per_run_of_same_kind_draws(monkeypatch, name, runs):
+    # All-normal scenarios are one run; convex_after alternates an exponential
+    # confounder with its normal noise in each of the three groups.
+    scenario = shipped_scenarios()[name]
+    expected = verify_bracketing(scenario, 7, seed=5)
+    real = np.random.default_rng
+    counts = []
+
+    def counting_rng(seed):
+        counts.append(0)
+        return _CountingGenerator(real(seed), counts)
+
+    monkeypatch.setattr(simulation.np.random, "default_rng", counting_rng)
+    assert verify_bracketing(scenario, 7, seed=5) == expected
+    assert len(counts) == 7  # one generator a replication
+    assert max(counts) <= runs, counts
