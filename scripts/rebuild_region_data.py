@@ -18,11 +18,13 @@ per-year rates, so the bundled per-year panel is a reconstruction:
   each state's full 2008-2016 mean is preserved;
 * standard errors: Poisson count model, se = sqrt(rate * 1e5 / population).
 
-Run from the repository root:  python scripts/rebuild_region_data.py
+Run from the repository root:  python scripts/rebuild_region_data.py [--out PATH]
+(the default PATH is the bundled file, src/didbracket/data/missouri_region.csv).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 from pathlib import Path
@@ -171,16 +173,20 @@ def verify(rows):
         print(f"DiD vs {arm} controls: {point:.4f}")
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Rebuild the bundled Missouri-region panel.")
+    parser.add_argument("--out", type=Path, default=OUT_PATH,
+                        help="where to write the panel CSV (default: the bundled file)")
+    out_path = parser.parse_args(argv).out
     rows = build_rows()
     verify(rows)
-    OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with OUT_PATH.open("w", newline="", encoding="utf-8") as fh:
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with out_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["unit", "year", "rate", "se", "population"])
         for row in rows:
             writer.writerow(row)
-    print(f"wrote {len(rows)} rows to {OUT_PATH}")
+    print(f"wrote {len(rows)} rows to {out_path}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ from typing import Optional
 from .diagnostics import pattern_test
 from .errors import EmptyBracketError, LevelMismatchError
 from .estimation import (
+    check_finite,
     did_point,
     did_se,
+    group_label,
     mean_gap,
     pct_change,
     pct_change_se_delta,
@@ -99,9 +101,16 @@ def validate_ordering(
         flags.append("OrderingViolation:upper_not_above_treated")
     if d_tl <= 0:
         flags.append("OrderingViolation:treated_not_above_lower")
+    ci_ut, ci_tl = wald_ci(d_ut, var_ut**0.5, alpha), wald_ci(d_tl, var_tl**0.5, alpha)
+    check_finite(f"ordering check over {period}", {
+        "upper-minus-treated CI lower end": ci_ut.lower,
+        "upper-minus-treated CI upper end": ci_ut.upper,
+        "treated-minus-lower CI lower end": ci_tl.lower,
+        "treated-minus-lower CI upper end": ci_tl.upper,
+    })
     return OrderingReport(
-        diff_uc_minus_t=DiffEstimate(d_ut, wald_ci(d_ut, var_ut**0.5, alpha)),
-        diff_t_minus_lc=DiffEstimate(d_tl, wald_ci(d_tl, var_tl**0.5, alpha)),
+        diff_uc_minus_t=DiffEstimate(d_ut, ci_ut),
+        diff_t_minus_lc=DiffEstimate(d_tl, ci_tl),
         period=period,
         flags=tuple(flags),
     )
@@ -159,19 +168,30 @@ def arm_estimate(
     after: PeriodRange,
     alpha: float,
 ) -> EffectEstimate:
-    """DiD estimate of one arm, with Wald CI and percent-change companion."""
+    """DiD estimate of one arm, with Wald CI and percent-change companion.
+
+    Raises OutOfDomainError, naming the arm, when a number of it overflows float64.
+    """
     t_before, t_after, c_before, c_after = arm_cells(panel, treated, controls, before, after)
     point = did_point(t_before, t_after, c_before, c_after)
     se = did_se(t_before, t_after, c_before, c_after)
     ci = wald_ci(point, se, alpha)
     pct_point, denom = pct_change(point, t_before, c_before, c_after)
+    pct_ci = pct_ci_scaled(ci, denom)
+    pct_se_delta = pct_change_se_delta(t_before, t_after, c_before, c_after)
+    check_finite(f"{treated} against {group_label(controls)}, {before} to {after}", {
+        "point": point, "SE": se, "CI lower end": ci.lower, "CI upper end": ci.upper,
+        "percent": pct_point, "percent CI lower end": pct_ci.lower,
+        "percent CI upper end": pct_ci.upper, "percent SE": pct_se_delta,
+        "percent denominator": denom,
+    })
     return EffectEstimate(
         point=point,
         se=se,
         ci=ci,
         pct_point=pct_point,
-        pct_ci=pct_ci_scaled(ci, denom),
-        pct_se_delta=pct_change_se_delta(t_before, t_after, c_before, c_after),
+        pct_ci=pct_ci,
+        pct_se_delta=pct_se_delta,
         denom=denom,
     )
 

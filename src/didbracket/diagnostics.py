@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadSplitError, EmptyGroupError, MissingSEError, OutOfDomainError
-from .estimation import mean_gap, normal_cdf, wald_ci, weighted_period_mean
+from .estimation import (
+    check_finite,
+    group_label,
+    mean_gap,
+    normal_cdf,
+    wald_ci,
+    weighted_period_mean,
+)
 from .model import PanelDataset, PeriodRange, StudyDesign
 
 PATTERNS = ("iii", "iv")
@@ -51,6 +58,10 @@ def gap_change_test(
         for sub in (first, second)
     ]
     se = (var1 + var2) ** 0.5
+    check_finite(
+        f"gap of {group_label(group_hi)} over {group_label(group_lo)}, {first} to {second}",
+        {"gap change": gap2 - gap1, "SE": se},
+    )
     if se == 0:
         # Degenerate reference: the sign decides, equal gaps split the mass.
         change = gap2 - gap1

@@ -41,13 +41,35 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+# The end of every message about a value that overflowed float64.
+OVERFLOW = "the panel's values overflow float64"
+
+
+def group_label(units) -> str:
+    """A group of units for a message: sorted, the first eight named."""
+    units = sorted(units)
+    more = f" (+{len(units) - 8} more)" if len(units) > 8 else ""
+    return ", ".join(units[:8]) + more
+
+
+def check_finite(where: str, values: dict) -> None:
+    """Raise OutOfDomainError naming ``where`` and the first of ``values`` that is not finite.
+
+    ``values`` maps the name of each value to the value.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise OutOfDomainError(f"{where}: {name} is {value!r}; {OVERFLOW}")
+
+
 def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> PeriodSummary:
     """Population-weighted mean rate for ``group`` over ``period``.
 
     Weights are person-years: each unit-year contributes its population.
     The summary SE combines record SEs in quadrature (present only when all
     records carry one). Missing unit-years raise MissingDataError, listing
-    every missing (unit, year) pair.
+    every missing (unit, year) pair. A mean or an SE that overflows float64
+    raises OutOfDomainError naming the group and the period.
 
     The summation order is part of the output contract: records are added
     left to right, units in sorted order and years ascending within each
@@ -64,25 +86,31 @@ def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> Per
     weighted_sum = 0.0
     var_sum = 0.0
     all_se = True
-    for unit in units:
-        row = panel.row(unit)
-        for year in years:
-            cell = row.get(year)
-            if cell is None:
-                missing.append((unit, year))
-                continue
-            rate, population, se, _ = cell
-            w = float(population)
-            total_weight += w
-            weighted_sum += w * rate
-            if se is None:
-                all_se = False
-            elif all_se:
-                var_sum += (w * se) ** 2
+    try:
+        for unit in units:
+            row = panel.row(unit)
+            for year in years:
+                cell = row.get(year)
+                if cell is None:
+                    missing.append((unit, year))
+                    continue
+                rate, population, se, _ = cell
+                w = float(population)
+                total_weight += w
+                weighted_sum += w * rate
+                if se is None:
+                    all_se = False
+                elif all_se:
+                    var_sum += (w * se) ** 2  # a float ** raises where * would give inf
+    except OverflowError:  # from (w * se) ** 2: the SE is inf, whatever the sums left unread
+        missing = [(u, y) for u in units for y in years if y not in panel.row(u)]
+        var_sum = math.inf
     if missing:
         raise MissingDataError(missing)
     mean = weighted_sum / total_weight
     se = math.sqrt(var_sum) / total_weight if all_se else None
+    if not math.isfinite(mean) or se == math.inf:  # se is None only beside a finite sum
+        check_finite(f"{group_label(units)} over {period}", {"mean": mean, "SE": se})
     return PeriodSummary(mean=mean, se=se, total_weight=total_weight)
 
 
@@ -201,7 +229,7 @@ def pct_change_se_delta(
     c_before: PeriodSummary,
     c_after: PeriodSummary,
 ) -> float:
-    """Delta-method SE of the percent-change estimate.
+    """Delta-method SE of the percent-change estimate; inf when it overflows float64.
 
     With A the DiD numerator and B the counterfactual denominator, the
     gradient of 100*A/B in the four cell means is (100/B, -100(A+B)/B^2,
@@ -213,16 +241,19 @@ def pct_change_se_delta(
     )
     a = did_point(t_before, t_after, c_before, c_after)
     b = pct_denominator(t_before, c_before, c_after)
-    d_ta = 100.0 / b
-    d_tb = -100.0 * (a + b) / (b * b)
-    d_ca = -100.0 * (a + b) / (b * b)
-    d_cb = 100.0 * (a + b) / (b * b)
-    return math.sqrt(
-        (d_tb * se_tb) ** 2
-        + (d_ta * se_ta) ** 2
-        + (d_cb * se_cb) ** 2
-        + (d_ca * se_ca) ** 2
-    )
+    try:
+        d_ta = 100.0 / b
+        d_tb = -100.0 * (a + b) / (b * b)
+        d_ca = -100.0 * (a + b) / (b * b)
+        d_cb = 100.0 * (a + b) / (b * b)
+        return math.sqrt(
+            (d_tb * se_tb) ** 2
+            + (d_ta * se_ta) ** 2
+            + (d_cb * se_cb) ** 2
+            + (d_ca * se_ca) ** 2
+        )
+    except (ZeroDivisionError, OverflowError):  # b * b underflows to 0, or a square overflows
+        return math.inf
 
 
 def pct_ci_scaled(ci: ConfInterval, denom: float) -> ConfInterval:

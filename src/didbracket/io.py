@@ -36,7 +36,6 @@ from .model import (
     PanelDataset,
     PeriodRange,
     StudyDesign,
-    canonical_edge,
     check_record_values,
 )
 from .simulation import ConfounderSpec, DriftSpec, Scenario
@@ -165,17 +164,22 @@ def parse_adjacency_csv(path) -> AdjacencyGraph:
     with _csv_file(path, "adjacency") as (cols, reader):
         if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
-        edges = set()
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise ParseError(path, reader.line_num, "expected two nonempty fields")
-            try:
-                edges.add(canonical_edge(row[0].strip(), row[1].strip()))
-            except DataError as exc:
-                raise ParseError(path, reader.line_num, str(exc)) from None
-    return AdjacencyGraph(edges=frozenset(edges))
+
+        def pairs():
+            for row in reader:
+                fields = [cell.strip() for cell in row]
+                if not any(fields):
+                    continue
+                if len(fields) != 2 or not all(fields):
+                    raise ParseError(path, reader.line_num, "expected two nonempty fields")
+                yield fields
+
+        try:
+            return AdjacencyGraph.from_pairs(pairs())
+        except ParseError:
+            raise
+        except DataError as exc:  # a self-edge, on the row just read
+            raise ParseError(path, reader.line_num, str(exc)) from None
 
 
 # --- configuration -----------------------------------------------------------
@@ -532,9 +536,15 @@ def bracket_report_dict(report: BracketReport, design: StudyDesign) -> dict:
 
 
 def round_half_up(x: float, digits: int = 0) -> float:
-    """Display rounding: half away from zero, matching published tables."""
+    """Display rounding: half away from zero, matching published tables.
+
+    A finite ``x`` too large to scale has no digits left to round and is kept.
+    """
     scale = 10.0**digits
-    return math.copysign(math.floor(abs(x) * scale + 0.5) / scale, x)
+    scaled = abs(x) * scale
+    if scaled == math.inf:
+        return x
+    return math.copysign(math.floor(scaled + 0.5) / scale, x)
 
 
 def display_rate(x: float) -> str:

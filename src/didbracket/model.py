@@ -148,26 +148,30 @@ def canonical_edge(a: str, b: str) -> tuple:
 class AdjacencyGraph:
     """Undirected unit adjacency; edges are canonical sorted pairs.
 
-    The ``unit -> neighbours`` map is built once from the edges, so a lookup
-    is one dict access, not a scan of every edge. It takes no part in
-    equality, hashing or the repr, which depend on ``edges`` alone.
+    The ``unit -> neighbours`` map is built in the same pass as the edges
+    (:meth:`from_pairs`), so a lookup is one dict access, not a scan of
+    every edge. It takes no part in equality, hashing or the repr, which
+    depend on ``edges`` alone; a graph constructed from ``edges`` only
+    builds it from them.
     """
 
     edges: frozenset
-    _neighbors: dict = field(init=False, compare=False, repr=False)
+    _neighbors: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        adjacent = defaultdict(list)
-        for a, b in self.edges:
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-        object.__setattr__(
-            self, "_neighbors", {unit: frozenset(nbrs) for unit, nbrs in adjacent.items()}
-        )
+        if self._neighbors is None:
+            object.__setattr__(self, "_neighbors", AdjacencyGraph.from_pairs(self.edges)._neighbors)
 
     @classmethod
     def from_pairs(cls, pairs) -> "AdjacencyGraph":
-        return cls(edges=frozenset(canonical_edge(a, b) for a, b in pairs))
+        """The graph of ``pairs``, in either orientation; DataError on a self-edge."""
+        edges = set()
+        adjacent = defaultdict(list)
+        for a, b in pairs:
+            edges.add(canonical_edge(a, b))
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        return cls(frozenset(edges), {unit: frozenset(nbrs) for unit, nbrs in adjacent.items()})
 
     def neighbors(self, unit: str) -> frozenset:
         return self._neighbors.get(unit, frozenset())

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .bracketing import arm_cells, classify_candidates
 from .errors import ArmUnavailableError, DataError, MissingDataError, OutOfDomainError
-from .estimation import did_point, weighted_period_mean
+from .estimation import check_finite, did_point, weighted_period_mean
 from .model import AdjacencyGraph, PanelDataset, PeriodRange
 
 ARMS = ("lc", "uc")
@@ -122,6 +122,10 @@ def run_placebo_study(
         except MissingDataError:
             results.append(PlaceboResult(unit, excluded_reason=EXCLUDED_MISSING))
             continue
+        check_finite(f"placebo unit {unit}", {
+            f"{arm} estimate": effect for arm, effect in zip(ARMS, (effect_lc, effect_uc))
+            if effect is not None
+        })
         if effect_lc is None and effect_uc is None:
             reason = EXCLUDED_NO_LOWER if not groups.lower else EXCLUDED_NO_UPPER
             results.append(PlaceboResult(unit, excluded_reason=reason))

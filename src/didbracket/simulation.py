@@ -15,19 +15,35 @@ arithmetic (numpy's normal is loc + scale * z, its exponential scale * z)
 and reduced once (cell means, SEs, arm points, min-max intervals as
 arrays). Every result is bit-identical to drawing and reducing one
 replication at a time.
+
+A run large enough to pay for a fork is split into contiguous replication
+ranges (:func:`_ranges`): the calling process runs the first, forked
+children run the others and send their chunks back through pipes, and
+the chunks are consumed in replication order. Results and errors are the
+same for any number of ranges. On Python 3.12 and later ``os.fork`` warns
+(DeprecationWarning) when the process has other OS threads, such as
+numpy's BLAS pool; the warning is not silenced here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+try:
+    import fcntl
+except ImportError:  # not on Windows, which has no os.fork either
+    fcntl = None
+
 from .bracketing import bracket_bounds
-from .errors import InvalidScenarioError, OutOfDomainError
+from .errors import InvalidScenarioError, InvariantError, OutOfDomainError
 from .estimation import did_of_means, did_variance, wald_ends, wald_z
 
 GROUPS = ("lc", "t", "uc")
@@ -241,12 +257,13 @@ ARM_ENDS = (
 )
 
 
-def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
-    """Yield (means, ses) for each chunk of ``reps`` replications.
+def _replicate_range(scenario: Scenario, lo: int, hi: int, seed: int, with_se: bool, size: int):
+    """Yield (means, ses) for each chunk of ``size`` replications of ``[lo, hi)``.
 
     Replication i draws from the i-th PCG64 child of ``SeedSequence(seed)``,
-    whatever the chunk length: children are spawned chunk by chunk, and
-    successive ``spawn`` calls continue the same sequence of children.
+    whatever the chunk length and wherever the range starts: children are
+    spawned chunk by chunk from ``SeedSequence(seed, n_children_spawned=lo)``,
+    and successive ``spawn`` calls continue the same sequence of children.
 
     A scenario whose outcomes overflow (``exp`` of a large confounder)
     raises OutOfDomainError naming the first replication and cell whose
@@ -256,12 +273,12 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
     """
     n = scenario.n_per_cell
     per_group, runs = _draw_plan(scenario)
-    root = np.random.SeedSequence(seed)
-    size = min(reps, chunk_len(n))
-    buf = np.empty((size, len(CELLS), n))
-    raw = np.empty((size, per_group * len(GROUPS), n))
-    for start in range(0, reps, size):
-        chunk, draws = buf[: reps - start], raw[: reps - start]
+    root = np.random.SeedSequence(seed, n_children_spawned=lo)
+    length = min(size, hi - lo)
+    buf = np.empty((length, len(CELLS), n))
+    raw = np.empty((length, per_group * len(GROUPS), n))
+    for start in range(lo, hi, size):
+        chunk, draws = buf[: hi - start], raw[: hi - start]
         for rows, child in zip(draws, root.spawn(len(draws))):
             rng = np.random.default_rng(child)
             for method, span in runs:
@@ -273,6 +290,121 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
         if ses is not None:
             _check_finite(ses, CELL_SES, start)
         yield means, ses
+
+
+# A run splits into contiguous replication ranges, one process each, only
+# when every range gets at least MIN_RANGE_REPS replications: a fork and its
+# reap cost about 4 ms, 1000 linear_interaction replications about 50 ms.
+# MAX_RANGES caps the processes of one run.
+MIN_RANGE_REPS = 1000
+MAX_RANGES = 4
+# The size asked of each range's pipe, the usual unprivileged Linux limit
+# (the default 64 KiB holds ~1300 bracket replications): a pipe that holds a
+# range's whole result lets the child finish while the parent runs its own
+# range. The kernel takes the pages only as they are written.
+PIPE_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot say)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _ranges(reps: int, size: int) -> list:
+    """The [lo, hi) replication ranges of one run, each starting on a chunk boundary.
+
+    One range, so one process, unless ``os.fork`` exists, no other Python
+    thread is alive (forking a threaded process can deadlock the child)
+    and at least two CPUs are usable.
+    """
+    count = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        count = min(MAX_RANGES, reps // MIN_RANGE_REPS, _usable_cpus())
+    chunks = -(-reps // size)
+    count = max(1, min(count, chunks))
+    bounds = [min(reps, chunks * k // count * size) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fork_range(engine, others: list):
+    """Run the chunk iterator ``engine`` in a forked child; return (pid, pipe reader).
+
+    The child pickles each chunk into the pipe as it is made, then an
+    exception instead of the rest if the engine raises, and leaves with
+    ``os._exit``: it never returns into the caller. ``others`` are the
+    readers of earlier children, which the child closes.
+    """
+    read_fd, write_fd = os.pipe()
+    if fcntl is not None and hasattr(fcntl, "F_SETPIPE_SZ"):
+        try:
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:
+            pass  # a smaller pipe only makes the child wait for the parent
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for reader in others:
+                reader.close()
+            with os.fdopen(write_fd, "wb") as out:
+                try:
+                    for chunk in engine:
+                        out.write(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+                        out.flush()
+                except Exception as exc:
+                    out.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _received(reader, chunks: int, lo: int, hi: int):
+    """Yield the ``chunks`` chunks a child sends for [lo, hi), raising the error it sends."""
+    for _ in range(chunks):
+        try:
+            item = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError, TypeError):  # died, or its error won't unpickle
+            raise InvariantError(
+                f"the process running replications {lo} to {hi - 1} ended without its results"
+            ) from None
+        if isinstance(item, BaseException):
+            raise item
+        yield item
+
+
+def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
+    """Yield (means, ses) for each chunk of ``reps`` replications, in order.
+
+    The run's ranges (:func:`_ranges`) after the first are each started in
+    a forked child; the caller's process runs the first range, then yields
+    each child's chunks in turn. A child's error is raised where its chunk
+    falls in that order, so it names the same replication as a one-process
+    run. Every child is reaped before this returns or raises.
+    """
+    size = min(reps, chunk_len(scenario.n_per_cell))
+    (lo, hi), *later = _ranges(reps, size)
+    children = []
+    try:
+        for start, stop in later:
+            engine = _replicate_range(scenario, start, stop, seed, with_se, size)
+            pid, reader = _fork_range(engine, [r for _, r, *_ in children])
+            children.append((pid, reader, -(-(stop - start) // size), start, stop))
+        yield from _replicate_range(scenario, lo, hi, seed, with_se, size)
+        for _, reader, chunks, start, stop in children:
+            yield from _received(reader, chunks, start, stop)
+    finally:
+        for pid, reader, *_ in children:
+            reader.close()  # a child still writing gets EPIPE and leaves
+            os.waitpid(pid, 0)
 
 
 def _arms(cells: np.ndarray, combine) -> tuple:

@@ -13,7 +13,7 @@ from didbracket.bracketing import (
     minmax_ci,
     validate_ordering,
 )
-from didbracket.errors import EmptyBracketError, LevelMismatchError
+from didbracket.errors import EmptyBracketError, LevelMismatchError, OutOfDomainError
 from didbracket.estimation import did_point, weighted_period_mean
 from didbracket.io import round_half_up
 from didbracket.model import (
@@ -224,3 +224,21 @@ def test_pooled_did_lies_inside_bracket(seed):
     lo, hi = bracket_bounds(arm(lower), arm(upper))
     pooled = arm(lower | upper)
     assert lo - 1e-9 <= pooled <= hi + 1e-9
+
+
+def test_ordering_check_with_an_infinite_interval_is_out_of_domain():
+    # Each summary SE is finite, but two of them squared and summed are not.
+    panel = make_panel({"t": {2000: 2.0}, "l": {2000: 1.0}, "u": {2000: 3.0}}, se=1.3e154,
+                       population=1)
+    period = PeriodRange(2000, 2000)
+    design = StudyDesign("t", frozenset({"l"}), frozenset({"u"}), period, period, period)
+    with pytest.raises(OutOfDomainError, match=(
+        r"^ordering check over 2000-2000: upper-minus-treated CI lower end is -inf; "
+    )):
+        validate_ordering(panel, design, period, 0.05)
+
+
+def test_display_rounding_keeps_a_value_too_large_to_scale():
+    assert round_half_up(1e308, 1) == 1e308
+    assert round_half_up(-1e308, 0) == -1e308
+    assert round_half_up(2.25, 1) == 2.3

@@ -472,3 +472,38 @@ def test_pct_ci_scaled_degenerate_and_domain():
     assert (ci.lower, ci.upper) == (0.0, 0.0)
     with pytest.raises(NonpositiveDenominatorError):
         pct_ci_scaled(ConfInterval(0.0, 1.0, 0.95), 0.0)
+
+
+# --- values that overflow float64 ---------------------------------------------
+
+
+def test_a_summary_that_overflows_names_its_group_and_period():
+    period = PeriodRange(2000, 2001)
+    huge_se = make_panel({"a": {2000: 1.0, 2001: 1.0}, "b": {2000: 1.0}}, se=1e300)
+    with pytest.raises(OutOfDomainError, match=r"^a over 2000-2001: SE is inf; "):
+        weighted_period_mean(huge_se, {"a"}, period)
+    # A missing unit-year still wins, so a placebo study excludes the unit.
+    with pytest.raises(MissingDataError, match="b:2001"):
+        weighted_period_mean(huge_se, {"a", "b"}, period)
+    huge_rate = make_panel({"a": {2000: 1e305, 2001: 1.0}})
+    with pytest.raises(OutOfDomainError, match=r"^a over 2000-2001: mean is inf; "):
+        weighted_period_mean(huge_rate, {"a"}, period)
+
+
+def test_a_large_group_is_named_by_its_first_eight_units():
+    period = PeriodRange(2000, 2000)
+    units = [f"u{i:02d}" for i in range(10)]
+    panel = make_panel({u: {2000: 1e305} for u in units})
+    with pytest.raises(OutOfDomainError) as err:
+        weighted_period_mean(panel, set(units), period)
+    assert str(err.value).startswith(
+        "u00, u01, u02, u03, u04, u05, u06, u07 (+2 more) over 2000-2000: mean is inf; "
+    )
+
+
+@pytest.mark.parametrize("b", [1e-100, 1e-200])
+def test_pct_se_delta_that_overflows_is_inf(b):
+    # The denominator b is the treated before-mean here. At 1e-100 a gradient
+    # term's square overflows; at 1e-200 b * b itself underflows to 0.
+    t_b, t_a, c_b, c_a = summaries((b, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0))
+    assert pct_change_se_delta(t_b, t_a, c_b, c_a) == math.inf

@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import stat
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -1176,3 +1179,144 @@ def test_a_count_of_2_53_is_accepted(tmp_path):
     path.write_text(f"unit,year,rate,population,deaths\na,2000,1.0,{2**53},{2**53}\n",
                     encoding="utf-8")
     assert parse_panel_csv(path).get("a", 2000).population == 2**53
+
+
+# --- values that overflow float64 ---------------------------------------------
+
+
+def _run_paper_command(tmp_path, command, text):
+    """``command`` with the paper config on the panel ``text``; (code, stdout, stderr)."""
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", _PAPER, "--panel", str(path), "--out-dir", str(out)]
+    code, stdout, stderr = run_captured(argv)
+    assert not out.exists()
+    return code, stdout, stderr
+
+
+@pytest.mark.parametrize("command, group, period", [
+    ("analyze", "Missouri", "1999-2007"),
+    ("diagnose", "Missouri", "1999-2002"),
+    ("placebo", "Missouri, Oklahoma, Tennessee", "1999-2007"),
+])
+@pytest.mark.parametrize("column, value, name", [
+    ("se", "1e300", "SE"),  # (w * se) ** 2 raises OverflowError
+    ("rate", "1e305", "mean"),  # w * rate is inf
+])
+def test_a_huge_se_or_rate_in_the_bundled_panel_exits_3_naming_the_group(
+    tmp_path, command, group, period, column, value, name
+):
+    row = "Missouri,2000,4.7,0.289834,5595000"
+    text = dio.bundled_path("missouri_region.csv").read_text(encoding="utf-8")
+    assert row in text
+    fields = dict(zip(("unit", "year", "rate", "se", "population"), row.split(",")))
+    fields[column] = value
+    text = text.replace(row, ",".join(fields.values()))
+    assert _run_paper_command(tmp_path, command, text) == (
+        3, "",
+        f"OutOfDomain: {group} over {period}: {name} is inf; "
+        "the panel's values overflow float64\n",
+    )
+
+
+_UNITS = ("t", "l1", "l2", "u1", "u2")
+_YEARS = range(2000, 2007)
+_DESIGN = """treated = t
+prestudy = 2000-2001
+before = 2002-2004
+after = 2005-2006
+split_year = 2003
+rank_unit = t
+"""
+def _run_small_panel(command, rates, *flags):
+    """``command`` on units with the given rate in each year of 2000-2006 (SE 0.1, population 1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rows = "".join(f"{unit},{year},{rate!r},0.1,1\n"
+                       for unit, by_year in rates.items() for year, rate in zip(_YEARS, by_year))
+        (tmp / "panel.csv").write_text("unit,year,rate,se,population\n" + rows, encoding="utf-8")
+        edges = itertools.combinations(sorted(rates), 2)
+        (tmp / "adj.csv").write_text("unit_a,unit_b\n" + "".join(f"{a},{b}\n" for a, b in edges),
+                                     encoding="utf-8")
+        (tmp / "cfg.tomlish").write_text(
+            f"{_DESIGN}candidates = neighbors\npanel = {tmp / 'panel.csv'}\n"
+            f"adjacency = {tmp / 'adj.csv'}\n", encoding="utf-8")
+        out = tmp / "out"
+        result = run_captured(
+            [command, "--config", str(tmp / "cfg.tomlish"), "--out-dir", str(out), *flags])
+        assert not out.exists()
+        return result
+
+
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("command, rates, flags, message", [
+    # prestudy 2000-2001, before 2002-2004, after 2005-2006, split after 2003
+    ("analyze", {"t": [2, 2, 1, 1, 1, 1e307, 1e307], "l": [1] * 7, "u": [3, 3, 1, 1, 1, 1, 1]},
+     (), "t against l, 2002-2004 to 2005-2006: percent is inf; "),
+    ("placebo", {"t": [1, 1, 0, 0, 0, _MAX, 0], "u": [2, 2, _MAX, 0, 0, 0, 0]},
+     ("--before", "2002-2002", "--after", "2005-2005"), "placebo unit t: uc estimate is inf; "),
+    ("diagnose", {"t": [2, 2, 0, 0, _MAX, 0, 0], "l": [1] * 7, "u": [3, 3, 8e307, 8e307, 0, 0, 0]},
+     (), "gap of u over t, 2002-2003 to 2004-2004: gap change is -inf; "),
+])
+def test_estimates_that_overflow_exit_3_naming_where(command, rates, flags, message):
+    code, stdout, stderr = _run_small_panel(command, rates, *flags)
+    assert (code, stdout) == (3, "")
+    assert stderr == f"OutOfDomain: {message}the panel's values overflow float64\n"
+
+
+_MAGNITUDES = (1e-300, 1.0, 1e150, 1e300, 1e306, 1e307, sys.float_info.max / 4)
+
+
+@st.composite
+def _huge_cells(draw):
+    """(rate, se, population) of every unit-year, rates and SEs each of one magnitude.
+
+    One magnitude an example, and SEs on every row or on none, keep some
+    panels finite through the summaries, so the estimates made from them
+    are reached; values reach ``sys.float_info.max`` (4 * max / 4) and
+    populations 2**53.
+    """
+    rate_scale, se_scale = (draw(st.sampled_from(_MAGNITUDES)) for _ in range(2))
+    rates = st.floats(0.0, 4.0).map(lambda u: u * rate_scale)
+    ses = st.floats(0.0, 4.0).map(lambda u: u * se_scale) if draw(st.booleans()) else st.none()
+    populations = st.integers(1, draw(st.sampled_from([1, 10, 10**7, 2**53])))
+    return draw(st.lists(st.tuples(rates, ses, populations),
+                         min_size=len(_UNITS) * len(_YEARS), max_size=len(_UNITS) * len(_YEARS)))
+
+
+@given(
+    cells=_huge_cells(),
+    controls=st.sampled_from(["candidates = l1,l2,u1,u2",
+                              "lower_controls = l1,l2\nupper_controls = u1,u2"]),
+    report_format=st.sampled_from(["json", "csv"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_huge_rates_ses_and_populations_exit_0_or_3_with_one_line(cells, controls, report_format):
+    # Every value is in range for the parser, so each command either reports
+    # or refuses with one line; a refusal leaves no output behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        rows = [f"{u},{y},{rate!r},{'' if se is None else repr(se)},{pop}\n"
+                for (u, y), (rate, se, pop) in zip(itertools.product(_UNITS, _YEARS), cells)]
+        (tmp / "panel.csv").write_text("unit,year,rate,se,population\n" + "".join(rows),
+                                       encoding="utf-8")
+        edges = itertools.combinations(_UNITS, 2)
+        (tmp / "adj.csv").write_text("unit_a,unit_b\n" + "".join(f"{a},{b}\n" for a, b in edges),
+                                     encoding="utf-8")
+        (tmp / "cfg.tomlish").write_text(
+            f"{_DESIGN}{controls}\nformat = {report_format}\npanel = {tmp / 'panel.csv'}\n"
+            f"adjacency = {tmp / 'adj.csv'}\n", encoding="utf-8")
+        for command in ("analyze", "diagnose", "placebo"):
+            out = tmp / command
+            code, _, stderr = run_captured(
+                [command, "--config", str(tmp / "cfg.tomlish"), "--out-dir", str(out)]
+            )
+            assert code in (0, 3), stderr
+            if code == 0:
+                assert stderr == "" and out.is_dir()
+            else:
+                assert stderr.count("\n") == 1 and stderr.endswith("\n")
+                assert not out.exists()

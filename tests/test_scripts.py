@@ -42,6 +42,16 @@ def test_mc_script_prints_one_row_per_shipped_scenario(monkeypatch, capsys):
     assert all(len(row.split()) >= 5 for row in rows)
 
 
+def test_bundled_panel_is_rebuilt_byte_for_byte(tmp_path, capsys):
+    # The bundled panel's bytes trace back to the reconstruction in scripts/.
+    module = _load(ROOT / "scripts" / "rebuild_region_data.py")
+    out = tmp_path / "missouri_region.csv"
+    module.main(["--out", str(out)])
+    assert capsys.readouterr().out.endswith(f"wrote 207 rows to {out}\n")
+    bundled = ROOT / "src" / "didbracket" / "data" / "missouri_region.csv"
+    assert out.read_bytes() == bundled.read_bytes()
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]

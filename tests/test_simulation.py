@@ -1,4 +1,8 @@
+import contextlib
+import io
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didbracket import simulation
+from didbracket import cli, simulation
 from didbracket.errors import InvalidScenarioError, OutOfDomainError
 from didbracket.estimation import did_of_means, normal_quantile
 from didbracket.model import PeriodSummary
@@ -597,3 +601,182 @@ def test_each_replication_draws_once_per_run_of_same_kind_draws(monkeypatch, nam
     assert verify_bracketing(scenario, 7, seed=5) == expected
     assert len(counts) == 7  # one generator a replication
     assert max(counts) <= runs, counts
+
+
+# --- replication ranges in forked processes ----------------------------------
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def split_into(ranges, min_reps=1):
+    """Let a run use ``ranges`` CPUs, ``min_reps`` replications a range at least."""
+    with mock.patch.object(simulation, "_usable_cpus", return_value=ranges), \
+            mock.patch.object(simulation, "MIN_RANGE_REPS", min_reps):
+        yield
+
+
+@contextlib.contextmanager
+def counting_forks():
+    """Count the forks of this process; a forked child counts in its own copy only."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    with mock.patch.object(simulation.os, "fork", fork):
+        yield forks
+
+
+@pytest.mark.parametrize(
+    "reps, size, cpus, expected",
+    [
+        (10_000, 54, 2, [(0, 5022), (5022, 10_000)]),
+        (10_000, 54, 8, [(0, 2484), (2484, 5022), (5022, 7506), (7506, 10_000)]),
+        (10_000, 54, 1, [(0, 10_000)]),
+        (1_999, 27, 4, [(0, 1_999)]),
+        (2_000, 27, 4, [(0, 999), (999, 2_000)]),
+    ],
+)
+def test_ranges_start_on_chunk_boundaries_and_pay_for_their_fork(reps, size, cpus, expected):
+    with mock.patch.object(simulation, "_usable_cpus", return_value=cpus):
+        assert simulation._ranges(reps, size) == expected
+    assert all(lo % size == 0 for lo, _ in expected)
+
+
+@given(
+    scenario=scenarios(),
+    reps=st.integers(2, 13),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.integers(1, 6),
+    ranges=st.sampled_from([2, 3]),
+    alpha=st.sampled_from([0.05, 0.5, 0.9]) | st.floats(0.001, 0.999),
+)
+@settings(max_examples=40, deadline=None)
+def test_split_engine_matches_oracle(scenario, reps, seed, chunk, ranges, alpha):
+    # 2 or 3 ranges of 1 to 6 chunks: every range boundary is a chunk
+    # boundary, and the last chunk of a range may be short.
+    budget = chunk * len(simulation.CELLS) * 8 * scenario.n_per_cell
+    with mock.patch.object(simulation, "CHUNK_BYTES", budget), split_into(ranges):
+        assert len(simulation._ranges(reps, chunk)) == min(ranges, -(-reps // chunk))
+        _assert_engine_matches_oracle(scenario, reps, seed, alpha)
+    assert_no_child_process()
+
+
+def test_split_runs_fork_and_match_one_process():
+    scenario = shipped_scenarios()["linear_interaction"]
+    one = verify_bracketing(scenario, 3000, seed=4)
+    with split_into(3, min_reps=1000), counting_forks() as forks:
+        assert verify_bracketing(scenario, 3000, seed=4) == one
+    assert len(forks) == 2
+    assert_no_child_process()
+
+
+FAIL_AT = 2_000
+
+
+def _poisoned_check_finite(*replications):
+    """``_check_finite`` that sees an infinite first cell mean at each of ``replications``."""
+    real = simulation._check_finite
+
+    def check(values, labels, start):
+        hit = [i - start for i in replications if start <= i < start + len(values)]
+        if hit and labels is simulation.CELL_MEANS:
+            values = values.copy()
+            values[hit, 0] = math.inf
+        real(values, labels, start)
+
+    return check
+
+
+@pytest.mark.parametrize("replications", [(FAIL_AT,), (FAIL_AT, 2_900), (300, FAIL_AT)])
+@pytest.mark.parametrize("mode", ["bracket", "coverage"])
+def test_an_error_in_a_childs_range_is_the_one_process_error(replications, mode):
+    # Replication 2000 falls in the child's range [1512, 3000); when the
+    # parent's range [0, 1512) fails too, its error is the one raised.
+    scenario = shipped_scenarios()["linear_interaction" if mode == "bracket" else "additive"]
+
+    def run():
+        with mock.patch.object(simulation, "_check_finite", _poisoned_check_finite(*replications)):
+            if mode == "bracket":
+                verify_bracketing(scenario, 3000, seed=8)
+            else:
+                coverage_experiment(scenario, 3000, 0.05, seed=8)
+
+    with split_into(1, min_reps=1000), pytest.raises(OutOfDomainError) as one:
+        run()
+    with split_into(2, min_reps=1000), counting_forks() as forks, \
+            pytest.raises(OutOfDomainError) as split:
+        run()
+    assert len(forks) == 1
+    assert_no_child_process()
+    assert str(split.value) == str(one.value)
+    assert str(one.value).startswith(f"replication {replications[0]}: cell lc0 mean is inf; ")
+
+
+def _simulate(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_cli_reports_a_childs_error_as_one_process_does(tmp_path):
+    argv = ["simulate", "--scenario", "linear_interaction", "--reps", "3000", "--seed", "8"]
+    results = []
+    for cpus in (1, 2):
+        out = tmp_path / f"out{cpus}"
+        with mock.patch.object(simulation, "_check_finite", _poisoned_check_finite(FAIL_AT)), \
+                split_into(cpus, min_reps=1000):
+            results.append(_simulate(argv + ["--out-dir", str(out)]))
+        assert not out.exists()
+        assert_no_child_process()
+    code, stdout, stderr = results[0]
+    assert results[1] == results[0]
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(f"OutOfDomain: replication {FAIL_AT}: cell lc0 mean is inf; ")
+    assert stderr.count("\n") == 1
+
+
+def test_a_consumer_that_stops_early_leaves_no_child_process():
+    scenario = shipped_scenarios()["linear_interaction"]
+    with split_into(3, min_reps=1000), counting_forks() as forks:
+        chunks = simulation._replicate(scenario, 3000, 1, with_se=False)
+        next(chunks)
+        chunks.close()
+        assert len(forks) == 2
+    assert_no_child_process()
+
+
+def test_a_child_that_dies_is_an_invariant_error():
+    scenario = shipped_scenarios()["linear_interaction"]
+    real = simulation._replicate_range
+
+    def replicate_range(scenario, lo, *rest):
+        if lo:  # a child's range, run only in the child: it dies before sending a chunk
+            os._exit(1)
+        yield from real(scenario, lo, *rest)
+
+    with split_into(2, min_reps=1000), \
+            mock.patch.object(simulation, "_replicate_range", replicate_range):
+        with pytest.raises(simulation.InvariantError, match=r"replications 1512 to 2999 ended"):
+            verify_bracketing(scenario, 3000, seed=2)
+    assert_no_child_process()
+
+
+def test_a_run_started_from_a_second_thread_does_not_fork():
+    scenario = shipped_scenarios()["linear_interaction"]
+    expected = verify_bracketing(scenario, 3000, seed=6)
+    results = []
+    worker = threading.Thread(target=lambda: results.append(verify_bracketing(scenario, 3000, 6)))
+    with split_into(2, min_reps=1000), \
+            mock.patch.object(simulation.os, "fork", side_effect=AssertionError("forked")):
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results == [expected]
