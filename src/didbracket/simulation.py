@@ -367,9 +367,9 @@ def _fork_range(engine, others: list):
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _received(reader, chunks: int, lo: int, hi: int):
-    """Yield the ``chunks`` chunks a child sends for [lo, hi), raising the error it sends."""
-    for _ in range(chunks):
+def _received(reader, lo: int, hi: int, size: int):
+    """Yield the chunks a child sends for [lo, hi), raising the error it sends instead."""
+    for _ in range(lo, hi, size):
         try:
             item = pickle.load(reader)
         except (EOFError, pickle.UnpicklingError, TypeError):  # died, or its error won't unpickle
@@ -397,10 +397,10 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
         for start, stop in later:
             engine = _replicate_range(scenario, start, stop, seed, with_se, size)
             pid, reader = _fork_range(engine, [r for _, r, *_ in children])
-            children.append((pid, reader, -(-(stop - start) // size), start, stop))
+            children.append((pid, reader, start, stop))
         yield from _replicate_range(scenario, lo, hi, seed, with_se, size)
-        for _, reader, chunks, start, stop in children:
-            yield from _received(reader, chunks, start, stop)
+        for _, reader, start, stop in children:
+            yield from _received(reader, start, stop, size)
     finally:
         for pid, reader, *_ in children:
             reader.close()  # a child still writing gets EPIPE and leaves

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 
 import pytest
 
+from didbracket import cli
 from didbracket.io import atomic_write_text, bundled_path, format_number, parse_panel_csv
 from didbracket.model import PanelDataset, PanelRecord, PeriodRange, StudyDesign
 
@@ -56,6 +58,14 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
             ]
         )
     atomic_write_text(path, buf.getvalue())
+
+
+def run_captured(argv):
+    """cli.main with stdout and stderr captured; usable inside hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def pytest_configure(config):

@@ -1,6 +1,4 @@
-import contextlib
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_panel_csv
+from conftest import run_captured, write_panel_csv
 from didbracket import cli
 from didbracket import io as dio
 from didbracket.errors import ConfigError, MissingSEError, ParseError, SchemaError
@@ -658,14 +656,6 @@ def test_simulate_unknown_scenario_exits_2(tmp_path, capsys):
 
 
 # --- CLI boundary: validate first, write last -----------------------------------
-
-
-def run_captured(argv):
-    """cli.main with stdout and stderr captured; usable inside hypothesis tests."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def assert_config_error(code, stdout, stderr, out_dir):

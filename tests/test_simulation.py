@@ -1,5 +1,4 @@
 import contextlib
-import io
 import math
 import os
 import threading
@@ -12,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didbracket import cli, simulation
+from conftest import run_captured
+from didbracket import simulation
 from didbracket.errors import InvalidScenarioError, OutOfDomainError
 from didbracket.estimation import did_of_means, normal_quantile
 from didbracket.model import PeriodSummary
@@ -719,13 +719,6 @@ def test_an_error_in_a_childs_range_is_the_one_process_error(replications, mode)
     assert str(one.value).startswith(f"replication {replications[0]}: cell lc0 mean is inf; ")
 
 
-def _simulate(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_the_cli_reports_a_childs_error_as_one_process_does(tmp_path):
     argv = ["simulate", "--scenario", "linear_interaction", "--reps", "3000", "--seed", "8"]
     results = []
@@ -733,7 +726,7 @@ def test_the_cli_reports_a_childs_error_as_one_process_does(tmp_path):
         out = tmp_path / f"out{cpus}"
         with mock.patch.object(simulation, "_check_finite", _poisoned_check_finite(FAIL_AT)), \
                 split_into(cpus, min_reps=1000):
-            results.append(_simulate(argv + ["--out-dir", str(out)]))
+            results.append(run_captured(argv + ["--out-dir", str(out)]))
         assert not out.exists()
         assert_no_child_process()
     code, stdout, stderr = results[0]
