@@ -645,8 +645,9 @@ def counting_forks():
 )
 def test_ranges_start_on_chunk_boundaries_and_pay_for_their_fork(reps, size, cpus, expected):
     with mock.patch.object(simulation, "_usable_cpus", return_value=cpus):
-        assert simulation._ranges(reps, size) == expected
-    assert all(lo % size == 0 for lo, _ in expected)
+        ranges = simulation._ranges(reps, size)
+    assert ranges == expected
+    assert all(lo % size == 0 for lo, _ in ranges)
 
 
 @given(
