@@ -2,9 +2,11 @@
 
 Configuration comes from defaults, then an optional config file, then
 flags (flags win). Flags are plain strings; ``io.config_from_values``
-types and checks them (``split_year``, ``reps``, ``seed`` and ``tau`` go
-through the library's own checks here), and ``io.check_out_dir`` refuses
-an output directory that names a file, before any input file is read. Commands
+types and checks them (``alpha``, ``split_year``, ``reps``, ``seed`` and
+``tau`` also go through the library's own checks here, ``alpha`` through
+``estimation.wald_z`` where a command draws a Wald interval), and
+``io.check_out_dir`` refuses an output directory that names a file, before
+any input file is read. Commands
 compute everything and return their files; ``main`` writes them only
 once the command has finished, all or none (``io.write_files``), so a
 failed run leaves no output directory and no partial one. Exit
@@ -23,6 +25,7 @@ from . import io as dio
 from .bracketing import construct_control_groups, full_analysis
 from .diagnostics import pattern_test, relative_trends_table, split_before
 from .errors import BadSplitError, ConfigError, DataError, InvariantError, OutOfDomainError
+from .estimation import wald_z
 from .model import StudyDesign, validate_design
 from .placebo import ARMS, histogram_export, rank_effect, run_placebo_study
 from .simulation import (
@@ -51,13 +54,19 @@ def _load_adjacency(cfg):
     )
 
 
+def _config_check(check, *args) -> None:
+    """``check(*args)``, a library check of configuration values; its refusal is a ConfigError."""
+    try:
+        check(*args)
+    except (BadSplitError, OutOfDomainError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _resolved_design(cfg):
     cfg.require("treated", "prestudy", "before", "after")
+    _config_check(wald_z, cfg.alpha)
     if cfg.split_year is not None:
-        try:
-            split_before(cfg.before, cfg.split_year)
-        except BadSplitError as exc:
-            raise ConfigError(str(exc)) from None
+        _config_check(split_before, cfg.before, cfg.split_year)
     panel = _load_panel(cfg)
     # Explicit control lists (config gives both or neither) win; else candidates are classified.
     if cfg.lower_controls:
@@ -180,13 +189,12 @@ def cmd_placebo(cfg):
 
 
 def cmd_simulate(cfg):
-    try:
-        check_reps(cfg.mode, cfg.reps)
-        check_seed(cfg.seed)
-        if cfg.mode == "synthetic_control":
-            check_synth_tau(cfg.tau)
-    except OutOfDomainError as exc:
-        raise ConfigError(str(exc)) from None
+    _config_check(check_reps, cfg.mode, cfg.reps)
+    _config_check(check_seed, cfg.seed)
+    if cfg.mode == "synthetic_control":
+        _config_check(check_synth_tau, cfg.tau)
+    elif cfg.mode == "coverage":
+        _config_check(wald_z, cfg.alpha)
     if cfg.mode == "synthetic_control":
         analytic = synthetic_control_comparison(cfg.tau, analytic=True)
         mc = synthetic_control_comparison(cfg.tau, analytic=False, reps=cfg.reps, seed=cfg.seed)

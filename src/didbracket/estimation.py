@@ -183,10 +183,15 @@ def did_variance(se_t_before, se_t_after, se_c_before, se_c_after):
 
 
 def wald_z(alpha: float) -> float:
-    """The normal quantile of a two-sided level-alpha Wald interval."""
-    if not 0.0 < alpha < 1.0:
-        raise OutOfDomainError(f"alpha must be in (0, 1), got {alpha}")
-    return normal_quantile(1.0 - alpha / 2.0)
+    """The normal quantile of a two-sided level-alpha Wald interval.
+
+    Raises OutOfDomainError unless 0 < alpha < 1 and ``1 - alpha/2`` stays
+    below 1 in float64, which needs alpha above about 1.1e-16.
+    """
+    p = 1.0 - alpha / 2.0
+    if not (0.0 < alpha < 1.0 and p < 1.0):
+        raise OutOfDomainError(f"alpha must be in (0, 1) with 1 - alpha/2 < 1, got {alpha}")
+    return normal_quantile(p)
 
 
 def wald_ci(point: float, se: float, alpha: float) -> ConfInterval:

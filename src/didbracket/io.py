@@ -38,7 +38,7 @@ from .model import (
     StudyDesign,
     check_record_values,
 )
-from .simulation import ConfounderSpec, DriftSpec, Scenario
+from .simulation import MIN_REPS, ConfounderSpec, DriftSpec, Scenario
 
 PANEL_REQUIRED = ("unit", "year", "rate", "population")
 PANEL_OPTIONAL = ("se", "deaths")
@@ -184,7 +184,7 @@ def parse_adjacency_csv(path) -> AdjacencyGraph:
 
 # --- configuration -----------------------------------------------------------
 
-_CHOICES = {"format": ("json", "csv"), "mode": ("bracket", "coverage", "synthetic_control")}
+_CHOICES = {"format": ("json", "csv"), "mode": tuple(MIN_REPS)}
 
 
 @dataclass
@@ -221,9 +221,6 @@ class AnalysisConfig:
                 raise ConfigError(f"missing required config key {key!r}")
 
 
-CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(AnalysisConfig))
-
-
 def parse_period(text: str) -> PeriodRange:
     """Parse 'START-END' or a single year."""
     text = text.strip()
@@ -234,6 +231,30 @@ def parse_period(text: str) -> PeriodRange:
         return PeriodRange(int(text), int(text))
     except (ValueError, DataError) as exc:
         raise ConfigError(f"bad period {text!r}: {exc}") from None
+
+
+# A key's reader by its field's annotation string. A reader raises ValueError
+# for text of the wrong type; the bool reader's lookup raises KeyError.
+_READERS = {
+    "str": str, "Optional[str]": str, "int": int, "Optional[int]": int, "float": float,
+    "bool": {"true": True, "false": False}.__getitem__,
+    "tuple": lambda text: tuple(part.strip() for part in text.split(",") if part.strip()),
+    "Optional[PeriodRange]": parse_period,
+}
+_CONFIG_READERS = {f.name: _READERS[f.type] for f in dataclasses.fields(AnalysisConfig)}
+CONFIG_KEYS = frozenset(_CONFIG_READERS)
+
+
+def _read(key: str, reader, text):
+    """``text`` read by ``reader``; a ConfigError naming ``key`` if it does not parse."""
+    try:
+        if not isinstance(text, str):  # argparse gives [] for "--flag=--"
+            raise ValueError
+        return reader(text)
+    except ValueError:
+        raise ConfigError(f"{key}: bad value {text!r}") from None
+    except KeyError:
+        raise ConfigError(f"{key}: expected true/false, got {text!r}") from None
 
 
 def parse_config_text(text: str, origin: str = "<config>", allowed=None) -> dict:
@@ -262,39 +283,13 @@ def parse_config_text(text: str, origin: str = "<config>", allowed=None) -> dict
     return values
 
 
-def _as_bool(value: str, key: str) -> bool:
-    if value in ("true", "false"):
-        return value == "true"
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
-
-
-def _as_list(value: str) -> tuple:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
 def config_from_values(values: dict) -> AnalysisConfig:
     """Type and check raw string values; the one place configuration is validated."""
     cfg = AnalysisConfig()
-    for key, value in values.items():
-        try:
-            if not isinstance(value, str):  # argparse gives [] for "--flag=--"
-                raise ValueError
-            if key in ("prestudy", "before", "after"):
-                value = parse_period(value)
-            elif key in ("candidates", "lower_controls", "upper_controls", "exclusions"):
-                value = _as_list(value)
-            elif key in ("alpha", "tau", "bin_width"):
-                value = float(value)
-            elif key in ("split_year", "seed", "reps"):
-                value = int(value)
-            elif key == "emit_plots":
-                value = _as_bool(value, key)
-            elif key in _CHOICES and value not in _CHOICES[key]:
-                raise ConfigError(
-                    f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}"
-                )
-        except ValueError:
-            raise ConfigError(f"{key}: bad value {value!r}") from None
+    for key, text in values.items():
+        value = _read(key, _CONFIG_READERS[key], text)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
         setattr(cfg, key, value)
     if not 0.0 < cfg.alpha < 1.0:  # also rejects nan
         raise ConfigError(f"alpha must be finite and in (0, 1), got {cfg.alpha}")
@@ -334,57 +329,58 @@ def load_config(path=None, overrides=None) -> AnalysisConfig:
 
 # --- scenario files -----------------------------------------------------------
 
-SCENARIO_KEYS = {
-    "effect", "confounder_kind", "confounder_lc", "confounder_t", "confounder_uc",
-    "confounder_sd", "time_effect", "tau_shift", "gamma", "noise_sd", "n_per_cell",
-    "drift_lc", "drift_t", "drift_uc", "drift_sd",
-}
+# The spec a Scenario field holds, by annotation; its keys are ``{field}_{spec field}``.
+_SPECS = {"ConfounderSpec": ConfounderSpec, "Optional[DriftSpec]": DriftSpec}
 
 
-def scenario_from_values(values: dict):
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _scenario_grammar() -> dict:
+    """``{file key: (spec field or None, field, reader)}``; ``tau_shift`` is ``tau``'s key."""
+    readers = {**_READERS, "float": _finite}
+    grammar = {}
+    for f in dataclasses.fields(Scenario):
+        if f.type in _SPECS:
+            for g in dataclasses.fields(_SPECS[f.type]):
+                grammar[f"{f.name}_{g.name}"] = (f, g, readers[g.type])
+        else:
+            grammar["tau_shift" if f.name == "tau" else f.name] = (None, f, readers[f.type])
+    return grammar
+
+
+_SCENARIO_GRAMMAR = _scenario_grammar()
+SCENARIO_KEYS = frozenset(_SCENARIO_GRAMMAR)
+
+
+def scenario_from_values(values: dict) -> Scenario:
     """Build a simulation scenario from flat key = value pairs.
 
-    Required: effect, confounder_kind, confounder_lc/t/uc, time_effect.
-    Optional: confounder_sd, tau_shift, gamma, noise_sd, n_per_cell, and the
-    drift_* block (all four drift keys together).
+    A key left out takes its field's default; one whose field has none is
+    required, in a spec only once the spec is built (see ``kwargs``).
     """
     unknown = set(values) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    required = {"effect", "confounder_kind", "confounder_lc", "confounder_t",
-                "confounder_uc", "time_effect"}
-    missing = required - set(values)
+    # Scenario's keyword arguments under None, and those of each spec built:
+    # one whose field has no default or any of whose keys is given.
+    kwargs = {spec: {} for key, (spec, _, _) in _SCENARIO_GRAMMAR.items()
+              if spec is None or key in values or spec.default is dataclasses.MISSING}
+    missing = sorted(key for key, (spec, f, _) in _SCENARIO_GRAMMAR.items()
+                     if spec in kwargs and key not in values and f.default is dataclasses.MISSING)
     if missing:
-        raise ConfigError(f"missing scenario keys: {sorted(missing)}")
-
-    def num(key, kind=float):
-        try:
-            value = kind(values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: bad number {values[key]!r}") from None
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {values[key]!r}")
-        return value
-
-    def spec(prefix):
-        fields = ("lc", "t", "uc", "sd")
-        return {f: num(prefix + f) for f in fields if prefix + f in values}
-
-    drift_keys = {k for k in values if k.startswith("drift_")}
-    if drift_keys and drift_keys != {"drift_lc", "drift_t", "drift_uc", "drift_sd"}:
-        raise ConfigError("drift requires all of drift_lc, drift_t, drift_uc, drift_sd")
-    drift = DriftSpec(**spec("drift_")) if drift_keys else None
-    # Keys the file leaves out take the dataclasses' own defaults.
-    optional = {"tau_shift": ("tau", float), "gamma": ("gamma", float),
-                "noise_sd": ("noise_sd", float), "n_per_cell": ("n_per_cell", int)}
+        raise ConfigError(f"missing scenario keys: {missing}")
+    for key, text in values.items():
+        spec, f, reader = _SCENARIO_GRAMMAR[key]
+        kwargs[spec][f.name] = _read(key, reader, text)
+    scenario = kwargs.pop(None)
     try:
-        return Scenario(
-            effect=num("effect"),
-            confounder=ConfounderSpec(kind=values["confounder_kind"], **spec("confounder_")),
-            time_effect=values["time_effect"],
-            drift=drift,
-            **{f: num(key, kind) for key, (f, kind) in optional.items() if key in values},
-        )
+        scenario.update((spec.name, _SPECS[spec.type](**kw)) for spec, kw in kwargs.items())
+        return Scenario(**scenario)
     except InvalidScenarioError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from None
 

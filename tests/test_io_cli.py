@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from didbracket.io import (
     histogram_svg,
     line_chart_svg,
     load_config,
+    load_scenario,
     parse_config_text,
     parse_panel_csv,
     parse_period,
@@ -33,6 +35,13 @@ from didbracket.io import (
 )
 from didbracket.model import PanelDataset, PanelRecord, PeriodRange
 from didbracket.placebo import HistBin
+from didbracket.simulation import (
+    TIME_EFFECTS,
+    ConfounderSpec,
+    DriftSpec,
+    Scenario,
+    shipped_scenarios,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAPER_CONFIG = REPO_ROOT / "configs" / "paper.tomlish"
@@ -268,6 +277,13 @@ def test_config_text_round_trip(tmp_path_factory, cfg, periods, controls, order)
     path = tmp_path_factory.mktemp("cfg") / "run.conf"
     path.write_text(_config_text(cfg, order), encoding="utf-8")
     assert load_config(path) == cfg
+
+
+def test_readme_config_keys_match_the_grammar():
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    keys = text[text.index("Keys:"):].split("\n\n")[0]
+    keys = re.sub(r"\([^)]*\)", "", keys)  # the notes in brackets name values, not keys
+    assert set(re.findall(r"`(\w+)`", keys)) == dio.CONFIG_KEYS
 
 
 # --- formatting and json -----------------------------------------------------
@@ -647,6 +663,95 @@ def test_bad_scenario_file_number_exits_2_with_one_line(tmp_path, line):
     assert stderr.startswith(f"Config: {key}: ")
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def _scenarios(draw):
+    """A valid Scenario: ordered confounders, positive exponential scales (below 1 for
+    convex_after), non-negative spreads, and a drift of any order or none."""
+    time_effect = draw(st.sampled_from(TIME_EFFECTS))
+    kind = draw(st.sampled_from(["normal", "exponential"]))
+    if kind == "normal":
+        values = _FINITE
+    elif time_effect == "convex_after":
+        values = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    else:
+        values = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    lc, t, uc = sorted(draw(st.lists(values, min_size=3, max_size=3)))
+    return Scenario(
+        effect=draw(_FINITE),
+        confounder=ConfounderSpec(kind, lc, t, uc, sd=draw(_NONNEGATIVE)),
+        time_effect=time_effect,
+        noise_sd=draw(_NONNEGATIVE),
+        n_per_cell=draw(st.integers(min_value=1)),
+        tau=draw(_FINITE),
+        gamma=draw(_FINITE),
+        drift=draw(st.none() | st.builds(DriftSpec, _FINITE, _FINITE, _FINITE, _NONNEGATIVE)),
+    )
+
+
+def _scenario_text(scenario: Scenario, order=None) -> str:
+    """``scenario`` written as a scenario file, every key set, floats by ``repr``."""
+    c, d = scenario.confounder, scenario.drift
+    pairs = [("effect", scenario.effect), ("confounder_kind", c.kind),
+             ("confounder_lc", c.lc), ("confounder_t", c.t), ("confounder_uc", c.uc),
+             ("confounder_sd", c.sd), ("time_effect", scenario.time_effect),
+             ("noise_sd", scenario.noise_sd), ("n_per_cell", scenario.n_per_cell),
+             ("tau_shift", scenario.tau), ("gamma", scenario.gamma)]
+    if d is not None:
+        pairs += [("drift_lc", d.lc), ("drift_t", d.t), ("drift_uc", d.uc), ("drift_sd", d.sd)]
+    lines = [f"{key} = {repr(v) if isinstance(v, float) else v}" for key, v in pairs]
+    if order is not None:
+        order.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+@given(scenario=_scenarios(), order=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_scenario_text_round_trip(tmp_path_factory, scenario, order):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.tomlish"
+    path.write_text(_scenario_text(scenario, order), encoding="utf-8")
+    assert load_scenario(path) == scenario
+
+
+@pytest.mark.parametrize("name", sorted(shipped_scenarios()))
+def test_shipped_scenario_reads_back_equal(tmp_path, name):
+    scenario = shipped_scenarios()[name]
+    path = tmp_path / f"{name}.tomlish"
+    path.write_text(_scenario_text(scenario), encoding="utf-8")
+    assert load_scenario(path) == scenario
+
+
+_DRIFT = "drift_lc = 0.1\ndrift_t = 0.2\ndrift_uc = 0.3\n"
+
+
+def test_drift_block_without_sd_takes_the_default(tmp_path):
+    path = tmp_path / "drift.tomlish"
+    path.write_text(_MINIMAL_SCENARIO + _DRIFT, encoding="utf-8")
+    assert load_scenario(path).drift == DriftSpec(0.1, 0.2, 0.3, sd=0.0)
+
+
+def test_drift_lc_alone_names_the_missing_drift_keys(tmp_path):
+    path = tmp_path / "drift.tomlish"
+    path.write_text(_MINIMAL_SCENARIO + "drift_lc = 0.1\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == "missing scenario keys: ['drift_t', 'drift_uc']"
+
+
+def test_negative_drift_sd_exits_2_with_one_line(tmp_path):
+    scenario = tmp_path / "drift.tomlish"
+    scenario.write_text(_MINIMAL_SCENARIO + _DRIFT + "drift_sd = -1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["simulate", "--scenario", str(scenario), "--reps", "10", "--out-dir", str(out)]
+    )
+    assert_config_error(code, stdout, stderr, out)
+    assert stderr == "Config: invalid scenario: drift sd must be >= 0\n"
+
+
 def test_simulate_unknown_scenario_exits_2(tmp_path, capsys):
     code = run_cli(
         ["simulate", "--scenario", "no_such_scenario", "--reps", "100",
@@ -817,6 +922,19 @@ def test_malformed_invocation_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     argv = [str(out) if arg == OUT else arg for arg in argv]
     assert_config_error(*run_captured(argv), out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", *NOT_READ], ["diagnose", *NOT_READ], ["simulate", "--mode", "coverage"]],
+    ids=["analyze", "diagnose", "simulate coverage"],
+)
+def test_alpha_too_small_for_a_wald_interval_exits_2(tmp_path, argv):
+    # 1 - alpha/2 rounds to 1, so the Wald quantile has no finite value.
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured([*argv, "--alpha", "1e-17", "--out-dir", str(out)])
+    assert_config_error(code, stdout, stderr, out)
+    assert stderr == "Config: alpha must be in (0, 1) with 1 - alpha/2 < 1, got 1e-17\n"
 
 
 @pytest.mark.parametrize("flag, name", [("--panel", "no\nsuch.csv"),
