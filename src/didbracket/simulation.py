@@ -7,40 +7,46 @@ the treatment effect added only to the treated-after cell. Replications
 use per-replication child seeds of one named generator (PCG64), so runs
 reproduce across platforms and are order-independent.
 
-The engine works a fixed-size chunk of replications at a time, so memory
-does not grow with the number of replications. Each replication takes its
-standard normal and exponential draws from its own generator, one call per
-run of same-kind draws; the chunk's six cells are then built with array
-arithmetic (numpy's normal is loc + scale * z, its exponential scale * z)
-and reduced once (cell means, SEs, arm points, min-max intervals as
-arrays). Every result is bit-identical to drawing and reducing one
-replication at a time.
+The engine works a fixed-size chunk of replications at a time. Each
+replication takes its standard normal and exponential draws from its own
+generator, one call per run of same-kind draws (:func:`_draw`); the
+chunk's six cells are then built with array arithmetic (numpy's normal is
+loc + scale * z, its exponential scale * z) and reduced once (cell means,
+SEs, arm points, min-max intervals as arrays). Every result is
+bit-identical to drawing and reducing one replication at a time.
 
 A run large enough to pay for a fork is split into contiguous replication
-ranges (:func:`_ranges`): the calling process runs the first, forked
-children run the others and send their chunks back through pipes, and
-the chunks are consumed in replication order. Results and errors are the
-same for any number of ranges. On Python 3.12 and later ``os.fork`` warns
-(DeprecationWarning) when the process has other OS threads, such as
-numpy's BLAS pool; the warning is not silenced here.
+ranges (:func:`_ranges`): the calling process runs the first, and a
+forked child runs each of the others, writing its cell means (and SEs)
+into arrays in anonymous shared memory made before the fork. The caller
+reaps each child in turn and checks every chunk, its own and the
+children's, in replication order, so results and errors are the same for
+any number of ranges and no error crosses a process boundary. On Python
+3.12 and later ``os.fork`` warns (DeprecationWarning) when the process has
+other OS threads, such as numpy's BLAS pool; the warning is not silenced
+here.
+
+What grows with ``reps``: :func:`verify_bracketing` keeps both arm points,
+16 bytes a replication; a child's results take 48 bytes a replication of
+its range (96 with SEs, in coverage mode) until they are consumed;
+:func:`synthetic_control_comparison` draws three arrays of 8 bytes a
+replication. The chunk buffers and :func:`coverage_experiment` in one
+process do not grow.
+An allocation that cannot be made raises OutOfDomainError naming ``reps``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import os
-import pickle
+import signal
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-try:
-    import fcntl
-except ImportError:  # not on Windows, which has no os.fork either
-    fcntl = None
 
 from .bracketing import bracket_bounds
 from .errors import InvalidScenarioError, InvariantError, OutOfDomainError
@@ -149,10 +155,11 @@ CELLS = tuple((group, period) for group in GROUPS for period in (0, 1))
 LC0, LC1, T0, T1, UC0, UC1 = range(len(CELLS))
 
 # Replications are built in a (chunk, 6, n) float64 buffer of about this
-# many bytes and reduced a chunk at a time, so memory does not grow with
+# many bytes and reduced a chunk at a time, so the buffers do not grow with
 # reps. Their standard draws sit in a second buffer of 3 to 12 rows a
-# replication, half to twice this size. Larger chunks save no measurable time and raise peak RSS: a 1 MiB
-# buffer (and std's temporary of the same size) cost coverage mode 1.5 MB.
+# replication, half to twice this size. Larger chunks save no measurable
+# time and raise peak RSS: a 1 MiB buffer (and std's temporary of the same
+# size) cost coverage mode 1.5 MB.
 CHUNK_BYTES = 1 << 18
 
 
@@ -257,6 +264,19 @@ ARM_ENDS = (
 )
 
 
+def _draw(root: np.random.SeedSequence, runs: tuple, raw: np.ndarray) -> None:
+    """Fill ``raw`` (reps, draws, n) with the standard draws of its replications.
+
+    Each replication seeds a PCG64 generator from the next child that
+    ``root`` spawns, then takes each run of same-kind draws of ``runs``
+    (:func:`_draw_plan`) in one generator call.
+    """
+    for rows, child in zip(raw, root.spawn(len(raw))):
+        rng = np.random.default_rng(child)
+        for method, span in runs:
+            getattr(rng, method)(out=rows[span])
+
+
 def _replicate_range(scenario: Scenario, lo: int, hi: int, seed: int, with_se: bool, size: int):
     """Yield (means, ses) for each chunk of ``size`` replications of ``[lo, hi)``.
 
@@ -264,12 +284,8 @@ def _replicate_range(scenario: Scenario, lo: int, hi: int, seed: int, with_se: b
     whatever the chunk length and wherever the range starts: children are
     spawned chunk by chunk from ``SeedSequence(seed, n_children_spawned=lo)``,
     and successive ``spawn`` calls continue the same sequence of children.
-
-    A scenario whose outcomes overflow (``exp`` of a large confounder)
-    raises OutOfDomainError naming the first replication and cell whose
-    mean or SE is not finite; numpy's overflow warnings are silenced, not
-    printed. Underflow is left alone: ``exp`` of a very negative value is
-    a valid 0.0.
+    numpy's overflow warnings are silenced, not printed: :func:`_replicate`
+    checks the results.
     """
     n = scenario.n_per_cell
     per_group, runs = _draw_plan(scenario)
@@ -279,17 +295,10 @@ def _replicate_range(scenario: Scenario, lo: int, hi: int, seed: int, with_se: b
     raw = np.empty((length, per_group * len(GROUPS), n))
     for start in range(lo, hi, size):
         chunk, draws = buf[: hi - start], raw[: hi - start]
-        for rows, child in zip(draws, root.spawn(len(draws))):
-            rng = np.random.default_rng(child)
-            for method, span in runs:
-                getattr(rng, method)(out=rows[span])
+        _draw(root, runs, draws)
         with np.errstate(over="ignore", invalid="ignore"):
             _build_cells(scenario, draws, chunk)
-            means, ses = _reduce(chunk, with_se)
-        _check_finite(means, CELL_MEANS, start)
-        if ses is not None:
-            _check_finite(ses, CELL_SES, start)
-        yield means, ses
+            yield _reduce(chunk, with_se)
 
 
 # A run splits into contiguous replication ranges, one process each, only
@@ -298,11 +307,6 @@ def _replicate_range(scenario: Scenario, lo: int, hi: int, seed: int, with_se: b
 # MAX_RANGES caps the processes of one run.
 MIN_RANGE_REPS = 1000
 MAX_RANGES = 4
-# The size asked of each range's pipe, the usual unprivileged Linux limit
-# (the default 64 KiB holds ~1300 bracket replications): a pipe that holds a
-# range's whole result lets the child finish while the parent runs its own
-# range. The kernel takes the pages only as they are written.
-PIPE_BYTES = 1 << 20
 
 
 def _usable_cpus() -> int:
@@ -327,58 +331,62 @@ def _ranges(reps: int, size: int) -> list:
     return list(zip(bounds, bounds[1:]))
 
 
-def _fork_range(engine, others: list):
-    """Run the chunk iterator ``engine`` in a forked child; return (pid, pipe reader).
+def _allocated(reps: int, nbytes: int, allocate, *args):
+    """``allocate(*args)``, which asks ``nbytes`` for ``reps`` replications.
 
-    The child pickles each chunk into the pipe as it is made, then an
-    exception instead of the rest if the engine raises, and leaves with
-    ``os._exit``: it never returns into the caller. ``others`` are the
-    readers of earlier children, which the child closes.
+    An allocation that cannot be made raises OutOfDomainError naming both.
     """
-    read_fd, write_fd = os.pipe()
-    if fcntl is not None and hasattr(fcntl, "F_SETPIPE_SZ"):
-        try:
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except OSError:
-            pass  # a smaller pipe only makes the child wait for the parent
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+        return allocate(*args)
+    except (MemoryError, OverflowError, OSError, ValueError):
+        raise OutOfDomainError(
+            f"reps={reps} asks for {nbytes} bytes of memory, more than can be allocated"
+        ) from None
+
+
+def _fork_range(scenario: Scenario, lo: int, hi: int, seed: int, with_se: bool, size: int,
+                reps: int) -> tuple:
+    """Run replications [lo, hi) of a ``reps`` run in a forked child; return (pid, results).
+
+    ``results`` is (1 or 2, hi - lo, 6) float64 in anonymous shared memory,
+    made before the fork: the cell means, then the SEs if ``with_se``. The
+    child fills it and leaves with ``os._exit``, status 0 once the range is
+    done and 1 on any exception; it never returns into the caller.
+    """
+    nbytes = (1 + with_se) * (hi - lo) * len(CELLS) * 8
+    shared = _allocated(reps, nbytes, mmap.mmap, -1, nbytes)
+    results = np.frombuffer(shared).reshape(1 + with_se, hi - lo, len(CELLS))
+    pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            for reader in others:
-                reader.close()
-            with os.fdopen(write_fd, "wb") as out:
-                try:
-                    for chunk in engine:
-                        out.write(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
-                        out.flush()
-                except Exception as exc:
-                    out.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            chunks = _replicate_range(scenario, lo, hi, seed, with_se, size)
+            for start, chunk in zip(range(0, hi - lo, size), chunks):
+                for out, rows in zip(results, chunk):
+                    out[start : start + len(rows)] = rows
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+    return pid, results
 
 
-def _received(reader, lo: int, hi: int, size: int):
-    """Yield the chunks a child sends for [lo, hi), raising the error it sends instead."""
-    for _ in range(lo, hi, size):
-        try:
-            item = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError, TypeError):  # died, or its error won't unpickle
+def _reaped(children: list, size: int, with_se: bool):
+    """Yield the chunks of ``children``, (pid, lo, hi, results) each, in order.
+
+    Each child is waited for and taken off the list before its chunks are
+    yielded; one that did not exit with status 0 raises InvariantError.
+    """
+    while children:
+        pid, lo, hi, results = children[0]
+        status = os.waitpid(pid, 0)[1]
+        del children[0]
+        if status:
             raise InvariantError(
                 f"the process running replications {lo} to {hi - 1} ended without its results"
-            ) from None
-        if isinstance(item, BaseException):
-            raise item
-        yield item
+            )
+        means, ses = results if with_se else (results[0], None)
+        for k in range(0, hi - lo, size):
+            yield means[k : k + size], None if ses is None else ses[k : k + size]
 
 
 def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
@@ -386,24 +394,34 @@ def _replicate(scenario: Scenario, reps: int, seed: int, with_se: bool):
 
     The run's ranges (:func:`_ranges`) after the first are each started in
     a forked child; the caller's process runs the first range, then yields
-    each child's chunks in turn. A child's error is raised where its chunk
-    falls in that order, so it names the same replication as a one-process
-    run. Every child is reaped before this returns or raises.
+    each child's chunks in turn (:func:`_reaped`).
+
+    Every chunk is checked here, in replication order: a scenario whose
+    outcomes overflow (``exp`` of a large confounder) raises
+    OutOfDomainError naming the first replication and cell whose mean or
+    SE is not finite, the same for any number of ranges. Underflow is left
+    alone: ``exp`` of a very negative value is a valid 0.0. A child not yet
+    reaped when this returns or raises is killed and reaped.
     """
     size = min(reps, chunk_len(scenario.n_per_cell))
     (lo, hi), *later = _ranges(reps, size)
     children = []
     try:
         for start, stop in later:
-            engine = _replicate_range(scenario, start, stop, seed, with_se, size)
-            pid, reader = _fork_range(engine, [r for _, r, *_ in children])
-            children.append((pid, reader, start, stop))
-        yield from _replicate_range(scenario, lo, hi, seed, with_se, size)
-        for _, reader, start, stop in children:
-            yield from _received(reader, start, stop, size)
+            pid, results = _fork_range(scenario, start, stop, seed, with_se, size, reps)
+            children.append((pid, start, stop, results))
+        chunks = itertools.chain(
+            _replicate_range(scenario, lo, hi, seed, with_se, size),
+            _reaped(children, size, with_se),
+        )
+        for start, (means, ses) in zip(itertools.count(0, size), chunks):
+            _check_finite(means, CELL_MEANS, start)
+            if ses is not None:
+                _check_finite(ses, CELL_SES, start)
+            yield means, ses
     finally:
-        for pid, reader, *_ in children:
-            reader.close()  # a child still writing gets EPIPE and leaves
+        for pid, *_ in children:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -475,8 +493,7 @@ def verify_bracketing(scenario: Scenario, reps: int, seed: int) -> McReport:
     """
     check_reps("bracket", reps)
     check_seed(seed)
-    lc = np.empty(reps)
-    uc = np.empty(reps)
+    lc, uc = _allocated(reps, 16 * reps, np.empty, (2, reps))
     start = 0
     for means, _ in _replicate(scenario, reps, seed, with_se=False):
         stop = start + len(means)
@@ -596,9 +613,10 @@ def synthetic_control_comparison(
         check_reps("synthetic_control", reps)
         check_seed(seed)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        u_lower = rng.exponential(SYNTH_LOWER_SCALE, reps)
-        u_upper = rng.exponential(SYNTH_UPPER_SCALE, reps)
-        u_treated = rng.exponential(tau, reps)
+        u_lower, u_upper, u_treated = (
+            _allocated(reps, 8 * reps, rng.exponential, scale, reps)
+            for scale in (SYNTH_LOWER_SCALE, SYNTH_UPPER_SCALE, tau)
+        )
         synth_before = w_lower * float(u_lower.mean()) + w_upper * float(u_upper.mean())
         synth_after = w_lower * float(np.exp(u_lower).mean()) + w_upper * float(
             np.exp(u_upper).mean()

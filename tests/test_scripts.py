@@ -1,5 +1,6 @@
 """The scripts under scripts/ and the README's library example use only names
-the package still exports, and the README's config keys are the config's."""
+the package still exports, the README's config keys are the config's, and
+the package's version is the project's."""
 
 import contextlib
 import dataclasses
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import didbracket
 from didbracket.io import AnalysisConfig
 from didbracket.simulation import shipped_scenarios
 
@@ -71,3 +73,10 @@ def test_readme_config_keys_are_the_config_fields():
     keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys_text))
     assert len(keys) == len(set(keys))
     assert set(keys) == {f.name for f in dataclasses.fields(AnalysisConfig)}
+
+
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert didbracket.__version__ == project["version"]

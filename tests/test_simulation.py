@@ -1,9 +1,13 @@
 import contextlib
+import dataclasses
+import errno
 import math
 import os
 import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -774,3 +778,114 @@ def test_a_run_started_from_a_second_thread_does_not_fork():
         worker.join(timeout=60)
     assert not worker.is_alive()
     assert results == [expected]
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_a_child_finishes_its_range_before_its_chunks_are_consumed():
+    # With SEs and one draw a cell, the child's 13,617 replications make
+    # 1.3 MB of results, more than a 1 MiB pipe would hold.
+    scenario = dataclasses.replace(shipped_scenarios()["additive"], n_per_cell=1)
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with split_into(2, min_reps=1000), mock.patch.object(simulation.os, "fork", fork):
+        chunks = simulation._replicate(scenario, 30_000, 3, with_se=True)
+        try:
+            next(chunks)
+            [pid] = pids
+            deadline = time.monotonic() + 30
+            while True:
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
+                if info is not None or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert info is not None, "the child was still running after 30 s"
+            assert (info.si_code, info.si_status) == (os.CLD_EXITED, 0)
+        finally:
+            chunks.close()
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("with_se, per_replication", [(False, 48), (True, 96)])
+def test_a_child_holds_its_results_in_shared_memory(with_se, per_replication):
+    # 48 bytes a replication for its six cell means, 96 with their SEs.
+    scenario = shipped_scenarios()["linear_interaction"]
+    with split_into(1):
+        expected = list(simulation._replicate(scenario, 3000, 5, with_se))
+    sizes = []
+    real = simulation.mmap.mmap
+
+    def recording_mmap(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real(fileno, length, *args, **kwargs)
+
+    with split_into(3, min_reps=1000), \
+            mock.patch.object(simulation.mmap, "mmap", recording_mmap):
+        ranges = simulation._ranges(3000, chunk_len(scenario.n_per_cell))
+        chunks = list(simulation._replicate(scenario, 3000, 5, with_se))
+    assert_no_child_process()
+    assert len(ranges) == 3
+    assert sizes == [per_replication * (hi - lo) for lo, hi in ranges[1:]]
+    for (means, ses), (want_means, want_ses) in zip(chunks, expected, strict=True):
+        assert np.array_equal(means, want_means)
+        assert (ses is None and want_ses is None) or np.array_equal(ses, want_ses)
+
+
+def _overcommits_without_limit():
+    """True where Linux grants any allocation (vm.overcommit_memory = 1)."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1"
+    except OSError:
+        return False
+
+
+HUGE_REPS = [
+    pytest.param(10**12, marks=pytest.mark.skipif(
+        _overcommits_without_limit(), reason="the kernel would grant terabytes")),
+    10**20,
+]
+
+
+@pytest.mark.parametrize("reps", HUGE_REPS)
+@pytest.mark.parametrize("mode, flags, cpus", [
+    ("bracket", ["--scenario", "linear_interaction"], 2),
+    ("synthetic_control", ["--tau", "0.35"], 1),
+    ("coverage", ["--scenario", "additive"], 2),  # one process allocates nothing a replication
+])
+def test_reps_too_many_to_allocate_exit_3_with_one_line(tmp_path, reps, mode, flags, cpus):
+    out = tmp_path / "out"
+    argv = ["simulate", "--mode", mode, *flags, "--reps", str(reps), "--out-dir", str(out)]
+    with split_into(cpus, min_reps=1000):
+        code, stdout, stderr = run_captured(argv)
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(f"OutOfDomain: reps={reps} asks for ")
+    assert stderr.endswith(" bytes of memory, more than can be allocated\n")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+    assert_no_child_process()
+
+
+def test_a_failed_shared_allocation_leaves_no_child_process():
+    # The second child's results cannot be allocated once the first is running.
+    scenario = shipped_scenarios()["linear_interaction"]
+    real = simulation.mmap.mmap
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        return real(*args, **kwargs)
+
+    with split_into(3, min_reps=1000), counting_forks() as forks, \
+            mock.patch.object(simulation.mmap, "mmap", second_fails), \
+            pytest.raises(OutOfDomainError, match=r"^reps=3000 asks for 96192 bytes "):
+        coverage_experiment(scenario, 3000, 0.05, seed=1)
+    assert len(forks) == 1
+    assert_no_child_process()
