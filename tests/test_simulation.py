@@ -625,13 +625,13 @@ def split_into(ranges, min_reps=1):
 
 @contextlib.contextmanager
 def counting_forks():
-    """Count the forks of this process; a forked child counts in its own copy only."""
+    """List the pid of each child this process forks; a child's own copy gets its 0."""
     forks = []
     real = os.fork
 
     def fork():
-        forks.append(1)
-        return real()
+        forks.append(real())
+        return forks[-1]
 
     with mock.patch.object(simulation.os, "fork", fork):
         yield forks
@@ -785,20 +785,11 @@ def test_a_child_finishes_its_range_before_its_chunks_are_consumed():
     # With SEs and one draw a cell, the child's 13,617 replications make
     # 1.3 MB of results, more than a 1 MiB pipe would hold.
     scenario = dataclasses.replace(shipped_scenarios()["additive"], n_per_cell=1)
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    with split_into(2, min_reps=1000), mock.patch.object(simulation.os, "fork", fork):
+    with split_into(2, min_reps=1000), counting_forks() as forks:
         chunks = simulation._replicate(scenario, 30_000, 3, with_se=True)
         try:
             next(chunks)
-            [pid] = pids
+            [pid] = forks
             deadline = time.monotonic() + 30
             while True:
                 info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
