@@ -18,8 +18,11 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -37,6 +40,7 @@ from .model import (
     PeriodRange,
     StudyDesign,
     check_record_values,
+    values_in_range,
 )
 from .simulation import MIN_REPS, ConfounderSpec, DriftSpec, Scenario
 
@@ -72,44 +76,75 @@ def _conversion_error(path, line_no: int, row, idx) -> ParseError:
     raise InvariantError(f"{path}:{line_no}: no column fails to convert")
 
 
+def _csv_rows(path: Path, lines, line_no: int = 0):
+    """``(line number, row)`` of each csv row in ``lines``, whose first line is ``line_no + 1``.
+
+    The number is that of the row's last line (a quoted field may hold a
+    newline). A line the csv module refuses (a field over its size limit)
+    is a ParseError.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield line_no + reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(path, line_no + reader.line_num, str(exc)) from None
+
+
 @contextmanager
 def _csv_file(path: Path, kind: str):
-    """The stripped header and a reader over the rest of a UTF-8 CSV file.
+    """The stripped header of a UTF-8 CSV file, the open file after it, and the lines it took.
 
-    A line the csv module refuses (a field over its size limit) is a ParseError.
+    A byte-order mark before the header is dropped.
     """
     if not path.is_file():
         raise FileNotFoundError(f"{kind} file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, header required") from None
-            yield [c.strip() for c in header], reader
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            line_no, header = next(_csv_rows(path, fh), (0, None))
+            if header is None:
+                raise SchemaError(f"{path}: empty file, header required")
+            yield [c.strip() for c in header], fh, line_no
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise ParseError(path, reader.line_num, str(exc)) from None
+
+
+# A panel file is read this many lines at a time by numpy's text reader.
+CHUNK_LINES = 2048
+_PANEL_DTYPES = {"unit": object, "year": "i8", "rate": "f8", "population": "i8",
+                 "se": "f8", "deaths": "i8"}
+# The bytes a plain chunk may hold: tab, newline, and printable ASCII other
+# than the double quote. Without quotes and carriage returns every line is
+# one csv row. Outside these, numpy 2.4's integer reader takes some letters
+# as digits (U+01FE as 462) and skips \x1c-\x1f around a number, which
+# int() refuses.
+_PLAIN_BYTES = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)]).replace(b'"', b"")
 
 
 def parse_panel_csv(path) -> PanelDataset:
     """Strict parse of a unit-year panel CSV.
 
     Header required; columns must be unit,year,rate,population plus
-    optionally se and deaths. Rows carrying deaths but no se get the
-    Poisson-model se derived for them. Any malformed row aborts with the
+    optionally se and deaths, each once. Rows carrying deaths but no se get
+    the Poisson-model se derived for them. Any malformed row aborts with the
     file line it ends on (a quoted field may hold a newline); the value
-    ranges are ``model.check_record_values``. A
-    duplicate (unit, year) is reported once every row has parsed, so a
-    later malformed row is reported first.
+    ranges are ``model.check_record_values``. A duplicate (unit, year) is
+    reported once every row has parsed, so a later malformed row is
+    reported first.
 
-    The rows go straight into the panel as ``(rate, population, se,
-    deaths)`` tuples; no PanelRecord is built.
+    The file is read in chunks of ``CHUNK_LINES`` lines. A plain chunk is
+    read column-wise by ``np.loadtxt``. A chunk is not plain if it holds a
+    double quote, a carriage return, any other control character but tab,
+    a non-ASCII character, an empty line or a line over
+    ``csv.field_size_limit()``, or if numpy refuses a value (a blank cell,
+    ``1_000``) or a value or unit is out of range. From that chunk to the
+    end of the file the csv module reads the rows one at a time, and only
+    that parser raises parse errors and names their lines. Either way the
+    rows go straight into the panel as ``(rate, population, se, deaths)``
+    tuples, in file order; no PanelRecord is built.
     """
     path = Path(path)
-    with _csv_file(path, "panel") as (cols, reader):
+    with _csv_file(path, "panel") as (cols, lines, line_no):
         missing = [c for c in PANEL_REQUIRED if c not in cols]
         unknown = [c for c in cols if c not in PANEL_REQUIRED + PANEL_OPTIONAL]
         if missing or unknown:
@@ -117,61 +152,127 @@ def parse_panel_csv(path) -> PanelDataset:
                 f"{path}: header must contain {PANEL_REQUIRED} and only "
                 f"optional {PANEL_OPTIONAL}; missing={missing} unknown={unknown}"
             )
-        idx = {c: i for i, c in enumerate(cols)}
-        width = len(cols)
-        i_unit, i_year, i_rate, i_pop = (idx[c] for c in PANEL_REQUIRED)
-        i_se, i_deaths = idx.get("se"), idx.get("deaths")
+        repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
+        if repeated:
+            raise SchemaError(f"{path}: header names column {repeated[0]!r} more than once")
         rows = {}
         duplicate = None
-        for row in reader:
-            if len(row) != width:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                raise ParseError(path, reader.line_num, f"expected {width} fields, got {len(row)}")
-            unit = row[i_unit].strip()
-            if not unit and all(not cell.strip() for cell in row):
-                continue
-            try:
-                year = int(row[i_year])
-                rate = float(row[i_rate])
-                population = int(row[i_pop])
-                se = row[i_se] if i_se is not None else ""
-                se = float(se) if se.strip() else None
-                deaths = row[i_deaths] if i_deaths is not None else ""
-                deaths = int(deaths) if deaths.strip() else None
-            except ValueError:
-                raise _conversion_error(path, reader.line_num, row, idx) from None
-            try:
-                if se is None and deaths is not None:
-                    se = poisson_rate_se(deaths, population)
-                check_record_values(unit, year, rate, population, se, deaths)
-            except DataError as exc:
-                raise ParseError(path, reader.line_num, str(exc)) from None
-            unit_row = rows.get(unit)
-            if unit_row is None:
-                unit_row = rows[unit] = {}
-            elif year in unit_row and duplicate is None:
-                duplicate = (unit, year)
-            unit_row[year] = (rate, population, se, deaths)
+        for entries in _panel_chunks(path, cols, lines, line_no):
+            for unit, year, values in entries:
+                unit_row = rows.get(unit)
+                if unit_row is None:
+                    unit_row = rows[unit] = {}
+                elif year in unit_row and duplicate is None:
+                    duplicate = (unit, year)
+                unit_row[year] = values
     if duplicate is not None:
         raise DataError(f"{path}: duplicate record for {duplicate[0]} {duplicate[1]}")
     return PanelDataset(rows=rows)
 
 
+def _panel_chunks(path: Path, cols: list, lines, line_no: int):
+    """The rows of ``lines``, whose first is line ``line_no + 1``, one iterable a chunk.
+
+    Each row is ``(unit, year, (rate, population, se, deaths))``.
+    """
+    dtype = np.dtype([(c, _PANEL_DTYPES[c]) for c in cols])
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        entries = _plain_entries(chunk, dtype)
+        if entries is None:
+            yield _row_entries(path, cols, _csv_rows(path, chain(chunk, lines), line_no))
+            return
+        yield entries
+        line_no += len(chunk)
+
+
+def _plain_entries(chunk: list, dtype):
+    """The entries of a plain chunk of panel lines, read column-wise; None if it is not plain.
+
+    A chunk is plain when it holds only ``_PLAIN_BYTES``, no empty line and
+    no line over the csv field size limit, and numpy takes every value and
+    every value is in range (``model.values_in_range``) with a nonempty
+    unit. numpy then reads each number as int() or float() would, and
+    splits each line where the csv module would.
+    """
+    text = "".join(chunk)
+    if (not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES)
+            or text.startswith("\n") or "\n\n" in text
+            or max(map(len, chunk)) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    names = dtype.names
+    se = table["se"] if "se" in names else None
+    deaths = table["deaths"] if "deaths" in names else None
+    units = [unit.strip() for unit in table["unit"].tolist()]
+    if not all(units) or not values_in_range(table["rate"], table["population"], se, deaths):
+        return None
+    population = table["population"].tolist()
+    deaths = repeat(None) if deaths is None else deaths.tolist()
+    if se is not None:
+        se = se.tolist()
+    elif "deaths" in names:  # the counts are in range, so each derived se is too
+        se = list(map(poisson_rate_se, deaths, population))
+    else:
+        se = repeat(None)
+    return zip(units, table["year"].tolist(), zip(table["rate"].tolist(), population, se, deaths))
+
+
+def _row_entries(path: Path, cols: list, rows):
+    """The entries of ``rows``, ``(line number, row)`` pairs, parsed and checked one row at a time.
+
+    A blank row is skipped, and a blank se or deaths cell is None.
+    """
+    idx = {c: i for i, c in enumerate(cols)}
+    width = len(cols)
+    i_unit, i_year, i_rate, i_pop = (idx[c] for c in PANEL_REQUIRED)
+    i_se, i_deaths = idx.get("se"), idx.get("deaths")
+    for line_no, row in rows:
+        if len(row) != width:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
+        unit = row[i_unit].strip()
+        if not unit and all(not cell.strip() for cell in row):
+            continue
+        try:
+            year = int(row[i_year])
+            rate = float(row[i_rate])
+            population = int(row[i_pop])
+            se = row[i_se] if i_se is not None else ""
+            se = float(se) if se.strip() else None
+            deaths = row[i_deaths] if i_deaths is not None else ""
+            deaths = int(deaths) if deaths.strip() else None
+        except ValueError:
+            raise _conversion_error(path, line_no, row, idx) from None
+        try:
+            if se is None and deaths is not None:
+                se = poisson_rate_se(deaths, population)
+            check_record_values(unit, year, rate, population, se, deaths)
+        except DataError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        yield unit, year, (rate, population, se, deaths)
+
+
 def parse_adjacency_csv(path) -> AdjacencyGraph:
     """Parse the two-column undirected edge list (header unit_a,unit_b)."""
     path = Path(path)
-    with _csv_file(path, "adjacency") as (cols, reader):
+    with _csv_file(path, "adjacency") as (cols, lines, line_no):
         if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
+        rows = _csv_rows(path, lines, line_no)
 
         def pairs():
-            for row in reader:
+            nonlocal line_no
+            for line_no, row in rows:
                 fields = [cell.strip() for cell in row]
                 if not any(fields):
                     continue
                 if len(fields) != 2 or not all(fields):
-                    raise ParseError(path, reader.line_num, "expected two nonempty fields")
+                    raise ParseError(path, line_no, "expected two nonempty fields")
                 yield fields
 
         try:
@@ -179,7 +280,7 @@ def parse_adjacency_csv(path) -> AdjacencyGraph:
         except ParseError:
             raise
         except DataError as exc:  # a self-edge, on the row just read
-            raise ParseError(path, reader.line_num, str(exc)) from None
+            raise ParseError(path, line_no, str(exc)) from None
 
 
 # --- configuration -----------------------------------------------------------

@@ -24,9 +24,10 @@ MAX_COUNT = 2**53
 def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
     """Raise DataError unless one unit-year's values are in range.
 
-    The one place the value ranges of a panel row are checked: a
-    PanelRecord runs it on construction and ``parse_panel_csv`` once per
-    row it reads.
+    With :func:`values_in_range` below, the one place the value ranges of
+    a panel row are checked: a PanelRecord runs it on construction and
+    ``parse_panel_csv`` once per row it reads one at a time. Change the two
+    together.
     """
     if not unit_id:
         raise DataError("unit_id must be a nonempty string")
@@ -42,6 +43,22 @@ def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
         raise DataError(f"{unit_id} {year}: deaths must be >= 0")
     if deaths is not None and deaths > MAX_COUNT:
         raise DataError(f"{unit_id} {year}: deaths must be at most 2**53")
+
+
+def values_in_range(rate, population, se, deaths) -> bool:
+    """Whether :func:`check_record_values` passes every row of these numpy columns.
+
+    ``se`` or ``deaths`` is None for a panel without that column; the unit,
+    which ``parse_panel_csv`` checks itself, and the year, which has no
+    range, are not taken. NaN fails every comparison, so ``0 <= x < inf``
+    is "finite and >= 0".
+    """
+    ok = (rate >= 0) & (rate < math.inf) & (population > 0) & (population <= MAX_COUNT)
+    if se is not None:
+        ok &= (se >= 0) & (se < math.inf)
+    if deaths is not None:
+        ok &= (deaths >= 0) & (deaths <= MAX_COUNT)
+    return bool(ok.all())
 
 
 @dataclass(frozen=True)

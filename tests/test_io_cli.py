@@ -27,6 +27,7 @@ from didbracket.io import (
     line_chart_svg,
     load_config,
     load_scenario,
+    parse_adjacency_csv,
     parse_config_text,
     parse_panel_csv,
     parse_period,
@@ -1287,6 +1288,26 @@ def test_a_count_of_2_53_is_accepted(tmp_path):
     path.write_text(f"unit,year,rate,population,deaths\na,2000,1.0,{2**53},{2**53}\n",
                     encoding="utf-8")
     assert parse_panel_csv(path).get("a", 2000).population == 2**53
+
+
+def test_a_repeated_header_column_exits_3_with_one_schema_line(tmp_path):
+    text = "unit,year,rate,population, rate\na,2000,1.0,100,9.0\n"
+    assert _analyze_panel(tmp_path, text) == (
+        3, "", "Schema: {path}: header names column 'rate' more than once\n"
+    )
+
+
+@pytest.mark.parametrize("name, parse", [("missouri_region.csv", parse_panel_csv),
+                                         ("us_state_adjacency.csv", parse_adjacency_csv)],
+                         ids=["panel", "adjacency"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, name, parse):
+    bundled = dio.bundled_path(name)
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+    got, want = parse(path), parse(bundled)
+    if parse is parse_panel_csv:
+        got, want = got.records, want.records
+    assert got == want
 
 
 # --- values that overflow float64 ---------------------------------------------

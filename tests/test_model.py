@@ -1,7 +1,9 @@
 import copy
+import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from didbracket.model import (
     PanelRecord,
     PeriodRange,
     StudyDesign,
+    check_record_values,
     validate_design,
+    values_in_range,
 )
 
 
@@ -127,6 +131,31 @@ def test_record_rejects_bad_values(kwargs):
     base.update(kwargs)
     with pytest.raises(DataError):
         PanelRecord(**base)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf,
+                                float(2**53), float(2**53 + 2), -5e-324, 1.0])
+_EDGE_COUNTS = st.sampled_from([0, 1, -1, 2**53, 2**53 + 1, 2**63 - 1, -(2**63)])
+
+
+@given(
+    rate=st.one_of(_EDGE_FLOATS, st.floats()),
+    population=st.one_of(_EDGE_COUNTS, st.integers(-(2**63), 2**63 - 1)),
+    se=st.one_of(st.none(), _EDGE_FLOATS, st.floats()),
+    deaths=st.one_of(st.none(), _EDGE_COUNTS, st.integers(-(2**63), 2**63 - 1)),
+)
+def test_array_range_check_agrees_with_the_record_check(rate, population, se, deaths):
+    try:
+        check_record_values("a", 2000, rate, population, se, deaths)
+        accepted = True
+    except DataError:
+        accepted = False
+
+    def column(value, dtype):
+        return None if value is None else np.array([value], dtype=dtype)
+
+    assert values_in_range(column(rate, "f8"), column(population, "i8"), column(se, "f8"),
+                           column(deaths, "i8")) is accepted
 
 
 def test_period_range_orders():
