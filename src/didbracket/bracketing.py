@@ -39,33 +39,33 @@ class ControlGroups:
     upper: frozenset
 
 
-def _summarizer(panel: PanelDataset, summary):
-    """``summary``, or ``weighted_period_mean`` over ``panel`` when it is None."""
-    if summary is not None:
-        return summary
-    return lambda group, period: weighted_period_mean(panel, group, period)
+def split_by_mean(treated_mean, means) -> tuple:
+    """``(below, above)``: whether ``means`` are strictly below, strictly above ``treated_mean``.
+
+    The one tie rule of the bracket: an exact tie is in neither group.
+    Floats, or numpy arrays elementwise.
+    """
+    return means < treated_mean, means > treated_mean
 
 
 def classify_candidates(
-    panel: PanelDataset, treated: str, candidates, prestudy: PeriodRange, summary=None
+    panel: PanelDataset, treated: str, candidates, prestudy: PeriodRange
 ) -> ControlGroups:
     """Split candidates by their pre-study mean relative to the treated unit's.
 
     Strictly below goes to the lower group, strictly above to the upper
-    group, exact ties stay unassigned. Either side may come back empty;
-    use :func:`construct_control_groups` when a full bracket is required.
-
-    ``summary(group, period)`` stands in for ``weighted_period_mean(panel,
-    group, period)``, as in :func:`arm_cells`.
+    group, exact ties stay unassigned (:func:`split_by_mean`). Either side
+    may come back empty; use :func:`construct_control_groups` when a full
+    bracket is required.
     """
-    summary = _summarizer(panel, summary)
-    treated_mean = summary({treated}, prestudy).mean
+    treated_mean = weighted_period_mean(panel, {treated}, prestudy).mean
     lower, upper = set(), set()
     for unit in sorted(set(candidates) - {treated}):
-        mean = summary({unit}, prestudy).mean
-        if mean < treated_mean:
+        mean = weighted_period_mean(panel, {unit}, prestudy).mean
+        below, above = split_by_mean(treated_mean, mean)
+        if below:
             lower.add(unit)
-        elif mean > treated_mean:
+        elif above:
             upper.add(unit)
     return ControlGroups(lower=frozenset(lower), upper=frozenset(upper))
 
@@ -136,27 +136,19 @@ def minmax_ci(ci_a: ConfInterval, ci_b: ConfInterval) -> ConfInterval:
 
 
 def arm_cells(
-    panel: PanelDataset,
-    treated: str,
-    controls,
-    before: PeriodRange,
-    after: PeriodRange,
-    summary=None,
+    panel: PanelDataset, treated: str, controls, before: PeriodRange, after: PeriodRange
 ) -> tuple:
     """The four DiD cells of one arm: (t_before, t_after, c_before, c_after).
 
-    The one place both :func:`arm_estimate` and the placebo engine get
-    their cells from, so a placebo point equals the analysis point exactly.
-    ``summary(group, period)`` stands in for ``weighted_period_mean(panel,
-    group, period)``; the placebo engine passes its memo of it, which
-    returns the same values.
+    The one place :func:`arm_estimate` gets its cells from; the placebo
+    engine folds the same sums for every unit at once, so a placebo point
+    equals the analysis point exactly.
     """
-    summary = _summarizer(panel, summary)
     return (
-        summary({treated}, before),
-        summary({treated}, after),
-        summary(controls, before),
-        summary(controls, after),
+        weighted_period_mean(panel, {treated}, before),
+        weighted_period_mean(panel, {treated}, after),
+        weighted_period_mean(panel, controls, before),
+        weighted_period_mean(panel, controls, after),
     )
 
 

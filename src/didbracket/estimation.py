@@ -74,8 +74,11 @@ def weighted_period_mean(panel: PanelDataset, group, period: PeriodRange) -> Per
     The summation order is part of the output contract: records are added
     left to right, units in sorted order and years ascending within each
     unit. Floating-point addition is not associative, so any other order
-    (a prefix-sum view, a vectorised reduction) changes output bytes and
-    breaks the exact placebo-versus-analysis equality.
+    (a prefix-sum view, a reduction within one sum) changes output bytes and
+    breaks the exact placebo-versus-analysis equality. A fold across many
+    groups, adding one cell of each group's sequence at a time in this
+    order, is exact: the placebo study sums that way
+    (``placebo._group_means``).
     """
     units = sorted(group)
     if not units:

@@ -6,12 +6,16 @@ The resulting point estimates form reference distributions (one per arm)
 against which the genuinely treated unit's estimates are ranked. Standard
 errors are not required: this is permutation-style inference on points.
 
-A study costs O(units x degree): each unit's candidates are one lookup in
-the adjacency's neighbour map, and each group summary reads one row per
-unit. Single-unit summaries (every unit's pre-study mean, the sham-treated
-unit's before and after cells) are computed once a study; see
-:func:`_single_unit_memo`. ``AdjacencyGraph`` lives in
-:mod:`didbracket.model` and is re-exported here.
+A study costs O(units x degree x years), in numpy: it reads the panel
+once into dense arrays (units sorted, by year) and folds every group
+summary it needs, over all units at once, in the summation order of
+:func:`~didbracket.estimation.weighted_period_mean`, so each mean is that
+function's to the bit (:func:`_group_means`). A summary that is not clean
+(a missing cell, a mean that is not finite, an SE that might overflow) is
+asked of ``weighted_period_mean`` itself, in the order a unit-by-unit loop
+asks, so the MissingData exclusions and the first overflow error are its
+own. ``AdjacencyGraph`` lives in :mod:`didbracket.model` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .bracketing import arm_cells, classify_candidates
+import numpy as np
+
+from .bracketing import split_by_mean
 from .errors import ArmUnavailableError, DataError, MissingDataError, OutOfDomainError
-from .estimation import check_finite, did_point, weighted_period_mean
+from .estimation import check_finite, did_of_means, weighted_period_mean
 from .model import AdjacencyGraph, PanelDataset, PeriodRange
 
 ARMS = ("lc", "uc")
@@ -54,34 +60,45 @@ class PlaceboResult:
         return self.effect_lc if arm == "lc" else self.effect_uc
 
 
-def _single_unit_memo(panel: PanelDataset):
-    """``weighted_period_mean(panel, group, period)`` that computes a one-unit group once.
+# A cell whose w * se is above this may overflow float64 once squared and
+# summed; weighted_period_mean computes the summaries of its groups itself.
+_SE_LIMIT = 1e150
+_GAP = (math.nan, 1, None, None)  # a missing cell: its NaN makes every sum over it NaN
+_PAD = (0.0, -0.0, None, None)  # the pad row: -0.0 is the exact identity of +
 
-    Exact: a one-unit summary adds that unit's records in ascending years,
-    whichever placebo unit asks for it, so the kept value is the value a
-    fresh call returns. A MissingDataError is kept too and raised again on
-    every later ask. Groups of two or more units are always recomputed:
-    their sum runs over the units in sorted order, which a combination of
-    kept one-unit sums would not reproduce bit for bit.
+
+def _panel_cells(panel: PanelDataset, units, years) -> tuple:
+    """``(w * rate, w, w * se > _SE_LIMIT)`` of every unit (rows) and year (columns).
+
+    ``w`` is the population as a float. A last row of -0.0 (the row index
+    ``len(units)``) pads short groups.
     """
-    kept = {}
+    cells = [row.get(year, _GAP) for row in map(panel.row, units) for year in years]
+    cells += [_PAD] * len(years)
+    rate, weight, se = (
+        np.array([cell[k] for cell in cells], float).reshape(-1, len(years)) for k in range(3)
+    )
+    return weight * rate, weight, weight * se > _SE_LIMIT
 
-    def summary(group, period):
-        if len(group) != 1:
-            return weighted_period_mean(panel, group, period)
-        key = (next(iter(group)), period)
-        value = kept.get(key)
-        if value is None:
-            try:
-                value = weighted_period_mean(panel, group, period)
-            except MissingDataError as exc:
-                value = exc
-            kept[key] = value
-        if isinstance(value, MissingDataError):
-            raise value.with_traceback(None)
-        return value
 
-    return summary
+def _group_means(cells: tuple, members, columns: slice) -> tuple:
+    """``(means, clean)`` of the groups in the rows of ``members`` over ``columns``.
+
+    ``members`` holds row indices of ``cells``, ascending but for pad rows,
+    which may sit anywhere. Each sum is folded member by member, and year
+    by year within a member, across all groups at once: the order of
+    :func:`weighted_period_mean`, so a mean equals that function's bit for
+    bit. A mean is clean when it is finite and no member's SE might
+    overflow; only then is it sure that weighted_period_mean returns it.
+    """
+    weighted, weight, hot = (a[:, columns] for a in cells)
+    total, weighted_sum = np.zeros(len(members)), np.zeros(len(members))
+    for member in members.T:
+        for w, wr in zip(weight[member].T, weighted[member].T):
+            total += w
+            weighted_sum += wr
+    means = weighted_sum / total
+    return means, np.isfinite(means) & ~hot.any(axis=1)[members].any(axis=1)
 
 
 def run_placebo_study(
@@ -100,34 +117,60 @@ def run_placebo_study(
     are excluded with a reason instead of aborting the study.
     """
     excluded = frozenset(exclusions)
-    summary = _single_unit_memo(panel)
+    units = sorted(panel.units)
+    n = len(units)
+    index = {unit: i for i, unit in enumerate(units)}
+    candidates = [sorted(index[c] for c in adjacency.neighbors(u) if c in index) for u in units]
+    width = max(map(len, candidates), default=0)
+    neighbors = np.array([c + [n] * (width - len(c)) for c in candidates], int).reshape(n, width)
+    periods = (prestudy, before, after)
+    years = sorted({year for p in periods for year in p.years()})
+    span = {p: slice(years.index(p.start_year), years.index(p.end_year) + 1) for p in periods}
+    alone = np.arange(n)[:, None]
+    with np.errstate(all="ignore"):
+        cells = _panel_cells(panel, units, years)
+        pre, pre_clean = _group_means(cells, alone, span[prestudy])
+        pre, pre_clean = np.append(pre, math.nan), np.append(pre_clean, True)  # and the pad row's
+        sides = split_by_mean(pre[:n, None], pre[neighbors])
+        groups = np.concatenate([np.where(side, neighbors, n) for side in sides])
+        (t_before, tb_clean), (t_after, ta_clean) = (
+            _group_means(cells, alone, span[p]) for p in (before, after))
+        (g_before, gb_clean), (g_after, ga_clean) = (
+            _group_means(cells, groups, span[p]) for p in (before, after))
+        points = did_of_means(np.tile(t_before, 2), np.tile(t_after, 2), g_before, g_after)
+    has = (groups < n).any(axis=1)
+    arm_clean = ~has | (np.tile(tb_clean & ta_clean, 2) & gb_clean & ga_clean)
+    clean = pre_clean[:n] & pre_clean[neighbors].all(axis=1) & arm_clean[:n] & arm_clean[n:]
+    points, has, clean = points.tolist(), has.tolist(), clean.tolist()
     results = []
-    for unit in sorted(panel.units):
+    for i, unit in enumerate(units):
         if unit in excluded:
             results.append(PlaceboResult(unit, excluded_reason=EXCLUDED_EXPLICIT))
             continue
-        candidates = adjacency.neighbors(unit) & panel.units
-        try:
-            groups = classify_candidates(panel, unit, candidates, prestudy, summary)
-            effect_lc = (
-                did_point(*arm_cells(panel, unit, groups.lower, before, after, summary))
-                if groups.lower
-                else None
-            )
-            effect_uc = (
-                did_point(*arm_cells(panel, unit, groups.upper, before, after, summary))
-                if groups.upper
-                else None
-            )
-        except MissingDataError:
-            results.append(PlaceboResult(unit, excluded_reason=EXCLUDED_MISSING))
-            continue
+        arms = (i, n + i)
+        if not clean[i]:
+            # Ask weighted_period_mean for each summary that is not clean, in
+            # the order a unit-by-unit study asks for them.
+            asks = [(pre_clean[j], [j], prestudy) for j in [i, *candidates[i]]]
+            for arm in arms:
+                if has[arm]:
+                    members = groups[arm][groups[arm] < n]
+                    asks += [(tb_clean[i], [i], before), (ta_clean[i], [i], after),
+                             (gb_clean[arm], members, before), (ga_clean[arm], members, after)]
+            try:
+                for ok, rows, period in asks:
+                    if not ok:
+                        weighted_period_mean(panel, {units[r] for r in rows}, period)
+            except MissingDataError:
+                results.append(PlaceboResult(unit, excluded_reason=EXCLUDED_MISSING))
+                continue
+        effect_lc, effect_uc = (points[arm] if has[arm] else None for arm in arms)
         check_finite(f"placebo unit {unit}", {
             f"{arm} estimate": effect for arm, effect in zip(ARMS, (effect_lc, effect_uc))
             if effect is not None
         })
         if effect_lc is None and effect_uc is None:
-            reason = EXCLUDED_NO_LOWER if not groups.lower else EXCLUDED_NO_UPPER
+            reason = EXCLUDED_NO_LOWER if not has[i] else EXCLUDED_NO_UPPER
             results.append(PlaceboResult(unit, excluded_reason=reason))
         else:
             results.append(PlaceboResult(unit, effect_lc=effect_lc, effect_uc=effect_uc))

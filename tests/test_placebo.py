@@ -1,4 +1,7 @@
 import random
+import sys
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from didbracket.bracketing import arm_cells, classify_candidates, full_analysis
 from didbracket.errors import ArmUnavailableError, DataError, MissingDataError, OutOfDomainError
 from didbracket.estimation import did_point
 from didbracket.io import bundled_path, parse_adjacency_csv, parse_panel_csv
-from didbracket.model import PanelDataset, PeriodRange
+from didbracket.model import PanelDataset, PanelRecord, PeriodRange
 from didbracket.placebo import (
     MAX_HIST_BINS,
     AdjacencyGraph,
@@ -269,17 +272,120 @@ def _count_summaries(monkeypatch):
     return calls
 
 
-def test_memo_computes_each_single_unit_summary_once(ring, monkeypatch):
-    panel, adjacency = ring
+def test_study_asks_weighted_period_mean_only_for_summaries_that_are_not_clean(
+    ring, bundled_panel, adjacency, monkeypatch
+):
     calls = _count_summaries(monkeypatch)
-    _oracle_study(panel, adjacency, PRESTUDY, BEFORE, AFTER)
-    fresh = list(calls)
-    calls.clear()
-    run_placebo_study(panel, adjacency, PRESTUDY, BEFORE, AFTER)
-    # Groups of two or more units are computed afresh, call for call.
-    assert [c for c in calls if len(c[0]) > 1] == [c for c in fresh if len(c[0]) > 1]
-    # Each one-unit summary the loop asked for is computed exactly once.
-    single = [c for c in calls if len(c[0]) == 1]
-    assert len(single) == len(set(single))
-    assert set(single) == {c for c in fresh if len(c[0]) == 1}
-    assert (len(fresh), len(calls)) == (740, 295)
+    run_placebo_study(bundled_panel, adjacency, PRESTUDY, BEFORE, AFTER)
+    assert calls == []  # a complete panel: every summary comes from the fold
+    panel, ring_adjacency = ring
+    results = run_placebo_study(panel, ring_adjacency, PRESTUDY, BEFORE, AFTER)
+    # Each call is for a group-period with a missing cell, and it is the one
+    # that excludes its unit: nothing else is asked of weighted_period_mean.
+    assert calls and all(
+        any(not panel.has(unit, year) for unit in group for year in period.years())
+        for group, period in calls
+    )
+    assert len(calls) == sum(r.excluded_reason == "MissingData" for r in results)
+
+
+_NAMES = [f"u{i}" for i in range(9)]  # nine units: degrees 0-8
+_YEARS = range(2000, 2006)
+# 2003 is in no period: a gap there excludes no unit.
+_PERIODS = (PeriodRange(2000, 2001), PeriodRange(2002, 2002), PeriodRange(2004, 2005))
+
+
+@st.composite
+def _study_inputs(draw, rates, populations, ses):
+    """(panel, adjacency, exclusions): gaps, blank or absent SEs, ties, any degree."""
+    units = _NAMES[: draw(st.integers(1, len(_NAMES)))]
+    gaps = draw(st.sets(st.sampled_from([(u, y) for u in units for y in _YEARS]), max_size=4))
+    has_se = draw(st.booleans())
+    records = [
+        PanelRecord(unit, year, draw(rates), draw(populations), draw(ses) if has_se else None)
+        for unit in units for year in _YEARS if (unit, year) not in gaps
+    ]
+    pairs = [(a, b) for i, a in enumerate(units) for b in units[i + 1:]]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    exclusions = draw(st.sets(st.sampled_from(units), max_size=2))
+    return PanelDataset(records), AdjacencyGraph.from_pairs(edges), exclusions
+
+
+# A few rates and populations, so that pre-study means often tie exactly.
+_TYING_RATES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 4.0]), st.floats(0.0, 50.0))
+_SMALL_POPULATIONS = st.one_of(st.sampled_from([1, 1000]), st.integers(1, 10**7))
+
+
+@given(_study_inputs(_TYING_RATES, _SMALL_POPULATIONS, st.one_of(st.none(), st.floats(0.0, 2.0))))
+@settings(max_examples=150, deadline=None)
+def test_study_equals_the_fresh_loop(inputs):
+    panel, adjacency, exclusions = inputs
+    assert run_placebo_study(panel, adjacency, *_PERIODS, exclusions) == _oracle_study(
+        panel, adjacency, *_PERIODS, exclusions
+    )
+
+
+def _outcome(study, *args):
+    try:
+        return study(*args)
+    except OutOfDomainError as exc:
+        return type(exc), str(exc)
+
+
+@given(_study_inputs(
+    st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e300)),
+    st.one_of(st.sampled_from([1, 2**53]), st.integers(1, 2**53)),
+    st.one_of(st.none(), st.sampled_from([1.0, 1e160, sys.float_info.max]),
+              st.floats(0.0, sys.float_info.max)),
+))
+@settings(max_examples=150, deadline=None)
+def test_study_raises_the_fresh_loops_error_when_the_panel_overflows(inputs):
+    # Rates up to 1e300 keep every DiD point of finite means finite, so the
+    # only errors are weighted_period_mean's own, raised by both loops.
+    panel, adjacency, exclusions = inputs
+    args = (panel, adjacency, *_PERIODS, exclusions)
+    assert _outcome(run_placebo_study, *args) == _outcome(_oracle_study, *args)
+
+
+@given(
+    groups=st.lists(
+        st.tuples(st.sets(st.integers(0, 7), min_size=1), st.sets(st.integers(0, 9), max_size=3)),
+        min_size=1, max_size=6,
+    ),
+    rates=st.lists(st.one_of(st.sampled_from([0.0, 1e300]), st.floats(0.0, 1e300)),
+                   min_size=48, max_size=48),
+    populations=st.lists(st.integers(1, 2**53), min_size=48, max_size=48),
+    ses=st.lists(st.one_of(st.none(), st.floats(0.0, sys.float_info.max)),
+                 min_size=48, max_size=48),
+    period=st.sampled_from([PeriodRange(2000, 2005), PeriodRange(2001, 2003),
+                            PeriodRange(2004, 2004)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_group_means_fold_equals_weighted_period_mean_bit_for_bit(
+    groups, rates, populations, ses, period
+):
+    # Eight units of six years; each group is 1-8 of them in ascending order,
+    # with pad rows (index 8) put in among the members, as the study does.
+    cells = [(u, y) for u in _NAMES[:8] for y in _YEARS]
+    panel = PanelDataset([PanelRecord(u, y, r, p, s)
+                          for (u, y), r, p, s in zip(cells, rates, populations, ses)])
+    rows = []
+    for members, pads in groups:
+        row = sorted(members)
+        for at in sorted(pads):
+            row.insert(at, 8)
+        rows.append(row)
+    width = max(map(len, rows))
+    members = np.array([row + [8] * (width - len(row)) for row in rows])
+    with np.errstate(all="ignore"):
+        means, clean = placebo._group_means(
+            placebo._panel_cells(panel, _NAMES[:8], _YEARS), members,
+            slice(period.start_year - 2000, period.end_year - 2000 + 1),
+        )
+    for row, (group, _) in enumerate(groups):
+        try:
+            expected = estimation.weighted_period_mean(panel, {_NAMES[i] for i in group}, period)
+        except OutOfDomainError:
+            assert not clean[row]
+            continue
+        assert float(means[row]).hex() == expected.mean.hex()
