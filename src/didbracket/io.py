@@ -42,7 +42,7 @@ from .model import (
 )
 from .simulation import MIN_REPS, ConfounderSpec, DriftSpec, Scenario
 
-import numpy as np  # after .simulation: importing numpy first leaves about 1 MB more resident
+import numpy as np  # after .simulation: importing it before leaves more memory resident
 
 PANEL_REQUIRED = ("unit", "year", "rate", "population")
 PANEL_OPTIONAL = ("se", "deaths")

@@ -89,7 +89,7 @@ def _group_means(cells: tuple, members, columns: slice) -> tuple:
     by year within a member, across all groups at once: the order of
     :func:`weighted_period_mean`, so a mean equals that function's bit for
     bit. A mean is clean when it is finite and no member's SE might
-    overflow; only then is it sure that weighted_period_mean returns it.
+    overflow: only then does weighted_period_mean surely return it.
     """
     weighted, weight, hot = (a[:, columns] for a in cells)
     total, weighted_sum = np.zeros(len(members)), np.zeros(len(members))
@@ -130,7 +130,7 @@ def run_placebo_study(
     with np.errstate(all="ignore"):
         cells = _panel_cells(panel, units, years)
         pre, pre_clean = _group_means(cells, alone, span[prestudy])
-        pre, pre_clean = np.append(pre, math.nan), np.append(pre_clean, True)  # and the pad row's
+        pre, pre_clean = np.append(pre, math.nan), np.append(pre_clean, True)  # pad: on no side
         sides = split_by_mean(pre[:n, None], pre[neighbors])
         groups = np.concatenate([np.where(side, neighbors, n) for side in sides])
         (t_before, tb_clean), (t_after, ta_clean) = (
