@@ -17,8 +17,9 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
+from array import array
 from importlib import resources
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -114,12 +115,11 @@ def _csv_file(path: Path, kind: str):
 CHUNK_LINES = 2048
 _PANEL_DTYPES = {"unit": object, "year": "i8", "rate": "f8", "population": "i8",
                  "se": "f8", "deaths": "i8"}
-# The bytes a plain chunk may hold: tab, newline, and printable ASCII other
-# than the double quote. Without quotes and carriage returns every line is
-# one csv row. Outside these, numpy 2.4's integer reader takes some letters
-# as digits (U+01FE as 462) and skips \x1c-\x1f around a number, which
-# int() refuses.
-_PLAIN_BYTES = bytes([ord("\t"), ord("\n"), *range(ord(" "), ord("~") + 1)]).replace(b'"', b"")
+# The bytes a plain chunk may hold: tab, CR, LF and printable ASCII but the
+# double quote. With no quote and no CR outside a CRLF, each line is one csv
+# row. Outside these, numpy 2.4's integer reader takes some letters as digits
+# (U+01FE as 462) and skips \x1c-\x1f around a number, which int() refuses.
+_PLAIN_BYTES = (b"\t\n\r" + bytes(range(ord(" "), ord("~") + 1))).replace(b'"', b"")
 
 
 def parse_panel_csv(path) -> PanelDataset:
@@ -131,18 +131,18 @@ def parse_panel_csv(path) -> PanelDataset:
     file line it ends on (a quoted field may hold a newline); the value
     ranges are ``model.check_record_values``. A duplicate (unit, year) is
     reported once every row has parsed, so a later malformed row is
-    reported first.
+    reported first: the first row whose (unit, year) came before.
 
     The file is read in chunks of ``CHUNK_LINES`` lines. A plain chunk is
     read column-wise by ``np.loadtxt``. A chunk is not plain if it holds a
-    double quote, a carriage return or any other control character but tab
-    and the newline, a non-ASCII character, an empty line or a line over
-    ``csv.field_size_limit()``, or if numpy refuses a value (a blank cell,
-    ``1_000``) or a value or unit is out of range. From that chunk to the
-    end of the file the csv module reads the rows one at a time, and only
-    that parser raises parse errors and names their lines. Either way the
-    rows go straight into the panel as ``(rate, population, se, deaths)``
-    tuples, in file order; no PanelRecord is built.
+    double quote, a carriage return that does not end a CRLF or any other
+    control character but tab and the line ends, a non-ASCII character, an
+    empty line or a line over ``csv.field_size_limit()``, or if numpy
+    refuses a value (a blank cell, ``1_000``) or a value or unit is out of
+    range. From that chunk to the end of the file the csv module reads the
+    rows one at a time, and only that parser raises parse errors and names
+    their lines. Either route gives numpy columns, which one stable sort
+    orders by (unit, year) into the panel's; no per-row object is kept.
     """
     path = Path(path)
     with _csv_file(path, "panel") as (cols, lines, line_no):
@@ -156,48 +156,58 @@ def parse_panel_csv(path) -> PanelDataset:
         repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
         if repeated:
             raise SchemaError(f"{path}: header names column {repeated[0]!r} more than once")
-        rows = {}
-        duplicate = None
-        for entries in _panel_chunks(path, cols, lines, line_no):
-            for unit, year, values in entries:
-                unit_row = rows.get(unit)
-                if unit_row is None:
-                    unit_row = rows[unit] = {}
-                elif year in unit_row and duplicate is None:
-                    duplicate = (unit, year)
-                unit_row[year] = values
-    if duplicate is not None:
-        raise DataError(f"{path}: duplicate record for {duplicate[0]} {duplicate[1]}")
-    return PanelDataset(rows=rows)
+        codes = {}  # unit -> its number, in order of first appearance
+        chunks = []
+        for names, lengths, *columns in _panel_chunks(path, cols, lines, line_no):
+            code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
+            chunks.append((np.repeat(code, lengths), *columns))
+    units = sorted(codes)
+    if not units:
+        return PanelDataset()
+    unit, year, *values = map(np.concatenate, zip(*chunks))
+    unit = np.argsort([codes[u] for u in units])[unit]  # the rank of each row's unit
+    order = np.lexsort((year, unit))
+    repeats = order[1:][(np.diff(unit[order]) == 0) & (np.diff(year[order]) == 0)]
+    if len(repeats):
+        first = repeats.min()
+        raise DataError(f"{path}: duplicate record for {units[unit[first]]} {year[first]}")
+    columns = (np.searchsorted(unit[order], np.arange(len(units) + 1)), year[order],
+               *(column[order] for column in values))
+    return PanelDataset.from_columns(units, *map(array, "qqdqdq", (c.tobytes() for c in columns)))
 
 
 def _panel_chunks(path: Path, cols: list, lines, line_no: int):
-    """The rows of ``lines``, whose first is line ``line_no + 1``, one iterable a chunk.
+    """The columns of ``lines``, whose first is line ``line_no + 1``, one tuple a chunk.
 
-    Each row is ``(unit, year, (rate, population, se, deaths))``.
+    Each is ``(names, lengths, year, rate, population, se, deaths)``: the
+    units as runs (``names[i]`` ``lengths[i]`` times), then int64 and float64
+    arrays, a NaN se or a -1 deaths where absent.
     """
     dtype = np.dtype([(c, _PANEL_DTYPES[c]) for c in cols])
     while chunk := list(islice(lines, CHUNK_LINES)):
-        entries = _plain_entries(chunk, dtype)
-        if entries is None:
-            yield _row_entries(path, cols, _csv_rows(path, chain(chunk, lines), line_no))
+        columns = _plain_columns(chunk, dtype)
+        if columns is None:
+            rows = list(_row_entries(path, cols, _csv_rows(path, chain(chunk, lines), line_no)))
+            names, *values = zip(*rows) if rows else [()] * 6
+            yield names, 1, *map(np.array, values, ("i8", "f8", "i8", "f8", "i8"))
             return
-        yield entries
+        yield columns
         line_no += len(chunk)
 
 
-def _plain_entries(chunk: list, dtype):
-    """The entries of a plain chunk of panel lines, read column-wise; None if it is not plain.
+def _plain_columns(chunk: list, dtype):
+    """The columns of a plain chunk of panel lines, read by numpy; None if it is not plain.
 
-    A chunk is plain when it holds only ``_PLAIN_BYTES``, no empty line and
-    no line over the csv field size limit, and numpy takes every value and
-    every value is in range (``model.values_in_range``) with a nonempty
-    unit. numpy then reads each number as int() or float() would, and
-    splits each line where the csv module would.
+    A chunk is plain when it holds only ``_PLAIN_BYTES``, a carriage return
+    only before a newline, no empty line and no line over the csv field size
+    limit, and numpy takes every value and every value is in range
+    (``model.values_in_range``) with a nonempty unit. numpy then reads each
+    number as int() or float() would, and splits each line where csv would.
     """
     text = "".join(chunk)
+    lf = text.replace("\r\n", "\n")
     if (not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES)
-            or text.startswith("\n") or "\n\n" in text
+            or "\r" in lf or lf.startswith("\n") or "\n\n" in lf
             or max(map(len, chunk)) > csv.field_size_limit()):
         return None
     try:
@@ -205,27 +215,25 @@ def _plain_entries(chunk: list, dtype):
                            ndmin=1)
     except ValueError:
         return None
-    names = dtype.names
-    se = table["se"] if "se" in names else None
-    deaths = table["deaths"] if "deaths" in names else None
-    units = [unit.strip() for unit in table["unit"].tolist()]
-    if not all(units) or not values_in_range(table["rate"], table["population"], se, deaths):
+    raw = table["unit"]
+    heads = np.flatnonzero(np.concatenate([[True], raw[1:] != raw[:-1]]))
+    names = [unit.strip() for unit in raw[heads].tolist()]
+    column = {c: table[c].copy() for c in dtype.names if c != "unit"}
+    se, deaths = column.get("se"), column.get("deaths")
+    if not all(names) or not values_in_range(column["rate"], column["population"], se, deaths):
         return None
-    population = table["population"].tolist()
-    deaths = repeat(None) if deaths is None else deaths.tolist()
-    if se is not None:
-        se = se.tolist()
-    elif "deaths" in names:  # the counts are in range, so each derived se is too
-        se = list(map(poisson_rate_se, deaths, population))
-    else:
-        se = repeat(None)
-    return zip(units, table["year"].tolist(), zip(table["rate"].tolist(), population, se, deaths))
+    if se is None and deaths is not None:  # the counts are in range, so each derived se is too
+        se = np.array(list(map(poisson_rate_se, deaths.tolist(), column["population"].tolist())))
+    return (names, np.diff(heads, append=len(raw)), column["year"], column["rate"],
+            column["population"], np.full(len(raw), math.nan) if se is None else se,
+            np.full(len(raw), -1) if deaths is None else deaths)
 
 
 def _row_entries(path: Path, cols: list, rows):
     """The entries of ``rows``, ``(line number, row)`` pairs, parsed and checked one row at a time.
 
-    A blank row is skipped, and a blank se or deaths cell is None.
+    Each is ``(unit, year, rate, population, se, deaths)``. A blank row is
+    skipped; a blank se is None (NaN in its float64 column), a blank deaths -1.
     """
     idx = {c: i for i, c in enumerate(cols)}
     width = len(cols)
@@ -255,7 +263,7 @@ def _row_entries(path: Path, cols: list, rows):
             check_record_values(unit, year, rate, population, se, deaths)
         except DataError as exc:
             raise ParseError(path, line_no, str(exc)) from None
-        yield unit, year, (rate, population, se, deaths)
+        yield unit, year, rate, population, se, -1 if deaths is None else deaths
 
 
 def parse_adjacency_csv(path) -> AdjacencyGraph:

@@ -1,12 +1,13 @@
 """Core domain types: panel data, adjacency, study designs, summaries, and reports.
 
 Everything here is an immutable value object; all operations are pure, so
-instances are safe to share across threads.
+instances are safe to share across threads. No numpy here: see ``io``'s import.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -31,6 +32,8 @@ def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
     """
     if not unit_id:
         raise DataError("unit_id must be a nonempty string")
+    if not -(2**63) <= year < 2**63:
+        raise DataError(f"{unit_id} {year}: year must fit in a signed 64-bit integer")
     if not math.isfinite(rate) or rate < 0:
         raise DataError(f"{unit_id} {year}: rate must be finite and >= 0")
     if population <= 0:
@@ -49,9 +52,9 @@ def values_in_range(rate, population, se, deaths) -> bool:
     """Whether :func:`check_record_values` passes every row of these numpy columns.
 
     ``se`` or ``deaths`` is None for a panel without that column; the unit,
-    which ``parse_panel_csv`` checks itself, and the year, which has no
-    range, are not taken. NaN fails every comparison, so ``0 <= x < inf``
-    is "finite and >= 0".
+    which ``parse_panel_csv`` checks itself, and the year, which its int64
+    column keeps in range, are not taken. NaN fails every comparison, so
+    ``0 <= x < inf`` is "finite and >= 0".
     """
     ok = (rate >= 0) & (rate < math.inf) & (population > 0) & (population <= MAX_COUNT)
     if se is not None:
@@ -81,38 +84,50 @@ class PanelRecord:
 class PanelDataset:
     """Immutable unit-year panel with unique (unit, year) keys.
 
-    Each unit's row is a plain ``{year: (rate, population, se, deaths)}``
-    map, so a group summary fetches a unit's row once and reads its years
-    from it. PanelRecord objects are built only when asked for, by
-    :attr:`records` and :meth:`get`.
-
-    Build it from PanelRecords, or from ``rows``, a ``{unit: {year: (rate,
-    population, se, deaths)}}`` map whose values already passed
-    :func:`check_record_values` (as ``parse_panel_csv`` gives it); the
-    panel takes ownership of ``rows``.
+    Held as columns sorted by (unit, year): the sorted units with their row
+    offsets, and ``array`` columns of year, rate, population, se and deaths
+    (40 bytes a row; a NaN se or a -1 deaths is absent). :meth:`row`,
+    :attr:`records` and :meth:`get` build their Python values on each call
+    and keep none. Build a panel from PanelRecords or, with
+    :meth:`from_columns`, from checked columns.
     """
 
-    __slots__ = ("_rows", "_units", "_len")
+    __slots__ = ("_index", "_starts", "_year", "_rate", "_population", "_se", "_deaths")
 
-    def __init__(self, records=(), rows=None):
-        if rows is None:
-            rows = {}
-            for r in records:
-                row = rows.get(r.unit_id)
-                if row is None:
-                    row = rows[r.unit_id] = {}
-                elif r.year in row:
-                    raise DataError(f"duplicate record for {r.unit_id} {r.year}")
-                row[r.year] = (r.rate, r.population, r.se, r.deaths)
-        object.__setattr__(
-            self, "_rows", {unit: MappingProxyType(row) for unit, row in rows.items()}
-        )
-        object.__setattr__(self, "_units", frozenset(rows))
-        object.__setattr__(self, "_len", sum(map(len, rows.values())))
+    def __init__(self, records=()):
+        keyed = sorted(((r.unit_id, r.year), i, r) for i, r in enumerate(records))
+        repeats = [(i, r) for (key, i, r), (seen, _, _) in zip(keyed[1:], keyed) if key == seen]
+        if repeats:  # name the first record, in input order, whose key came before
+            raise DataError("duplicate record for {0.unit_id} {0.year}".format(min(repeats)[1]))
+        units = [key[0] for key, _, _ in keyed]
+        heads = [i for i, unit in enumerate(units) if i == 0 or unit != units[i - 1]]
+        rows = [(r.year, r.rate, r.population, math.nan if r.se is None else r.se,
+                 -1 if r.deaths is None else r.deaths) for _, _, r in keyed]
+        self._fill([units[i] for i in heads], array("q", heads + [len(units)]),
+                   *(array(kind, [row[k] for row in rows]) for k, kind in enumerate("qdqdq")))
+
+    @classmethod
+    def from_columns(cls, units, starts, year, rate, population, se, deaths) -> "PanelDataset":
+        """The panel of checked columns, sorted by unique (unit, year); it keeps them.
+
+        ``units[i]`` has rows ``starts[i]:starts[i + 1]``; ``rate`` and ``se``
+        are ``array("d")``, the others ``array("q")``.
+        """
+        return cls.__new__(cls)._fill(units, starts, year, rate, population, se, deaths)
+
+    def _fill(self, units, *columns) -> "PanelDataset":
+        index = {unit: i for i, unit in enumerate(units)}  # units sorted: the order of the rows
+        for name, value in zip(self.__slots__, (index, *columns)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __reduce__(self):
-        # The read-only rows cannot be pickled; rebuild them from plain dicts.
-        return (PanelDataset, ((), {unit: dict(row) for unit, row in self._rows.items()}))
+        return (PanelDataset.from_columns, self.columns())
+
+    def columns(self) -> tuple:
+        """The arguments of :meth:`from_columns`: the panel's own arrays, to be read only."""
+        return (tuple(self._index), self._starts, self._year, self._rate, self._population,
+                self._se, self._deaths)
 
     @property
     def records(self) -> tuple:
@@ -121,37 +136,40 @@ class PanelDataset:
         The records are built on each access, so this order does not
         depend on the order of the input file or the records given.
         """
-        return tuple(
-            PanelRecord(unit, year, *row[year])
-            for unit, row in sorted(self._rows.items())
-            for year in sorted(row)
-        )
+        return tuple(PanelRecord(unit, year, *values)
+                     for unit in self._index for year, values in self.row(unit).items())
 
     @property
     def units(self) -> frozenset:
-        return self._units
+        return frozenset(self._index)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._year)
+
+    def _span(self, unit_id: str) -> tuple:  # the rows (lo, hi) of one unit, (0, 0) if unknown
+        i = self._index.get(unit_id)
+        return (0, 0) if i is None else (self._starts[i], self._starts[i + 1])
 
     def row(self, unit_id: str) -> Mapping:
         """Read-only ``{year: (rate, population, se, deaths)}`` map of one unit.
 
-        Empty for an unknown unit.
+        Empty for an unknown unit; built on each call, of Python floats, ints and None.
         """
-        return self._rows.get(unit_id, _EMPTY_ROW)
+        lo, hi = self._span(unit_id)
+        se = [None if s != s else s for s in self._se[lo:hi].tolist()]  # NaN: absent
+        deaths = [None if d < 0 else d for d in self._deaths[lo:hi].tolist()]
+        values = zip(self._rate[lo:hi].tolist(), self._population[lo:hi].tolist(), se, deaths)
+        return MappingProxyType(dict(zip(self._year[lo:hi].tolist(), values)))
 
     def get(self, unit_id: str, year: int) -> PanelRecord:
         try:
-            return PanelRecord(unit_id, year, *self._rows[unit_id][year])
+            return PanelRecord(unit_id, year, *self.row(unit_id)[year])
         except KeyError:
             raise DataError(f"no record for {unit_id} {year}") from None
 
     def has(self, unit_id: str, year: int) -> bool:
-        return year in self._rows.get(unit_id, _EMPTY_ROW)
-
-
-_EMPTY_ROW = MappingProxyType({})
+        lo, hi = self._span(unit_id)
+        return year in self._year[lo:hi]
 
 
 def canonical_edge(a: str, b: str) -> tuple:

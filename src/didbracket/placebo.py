@@ -35,7 +35,6 @@ from .model import AdjacencyGraph, PanelDataset, PeriodRange
 ARMS = ("lc", "uc")
 
 EXCLUDED_NO_LOWER = "NoLowerNeighbors"
-EXCLUDED_NO_UPPER = "NoUpperNeighbors"
 EXCLUDED_MISSING = "MissingData"
 EXCLUDED_EXPLICIT = "ExplicitExclusion"
 
@@ -63,21 +62,26 @@ class PlaceboResult:
 # A cell whose w * se is above this may overflow float64 once squared and
 # summed; weighted_period_mean computes the summaries of its groups itself.
 _SE_LIMIT = 1e150
-_GAP = (math.nan, 1, None, None)  # a missing cell: its NaN makes every sum over it NaN
-_PAD = (0.0, -0.0, None, None)  # the pad row: -0.0 is the exact identity of +
 
 
 def _panel_cells(panel: PanelDataset, units, years) -> tuple:
-    """``(w * rate, w, w * se > _SE_LIMIT)`` of every unit (rows) and year (columns).
+    """``(w * rate, w, w * se > _SE_LIMIT)`` of ``units`` (rows) and ascending ``years`` (columns).
 
-    ``w`` is the population as a float. A last row of -0.0 (the row index
-    ``len(units)``) pads short groups.
+    ``w`` is the population as a float; one scatter of the panel's columns
+    fills the grid. A missing cell is a NaN rate of weight 1, so that every
+    sum over it is NaN. A last row (index ``len(units)``) of -0.0, the exact
+    identity of +, pads short groups.
     """
-    cells = [row.get(year, _GAP) for row in map(panel.row, units) for year in years]
-    cells += [_PAD] * len(years)
-    rate, weight, se = (
-        np.array([cell[k] for cell in cells], float).reshape(-1, len(years)) for k in range(3)
-    )
+    names, starts, *columns = panel.columns()
+    slot = {unit: i for i, unit in enumerate(units)}
+    row = np.repeat(np.array([slot.get(name, -1) for name in names], int), np.diff(starts))
+    year, rate, population, se, _ = map(np.asarray, columns)
+    take = np.flatnonzero((row >= 0) & np.isin(year, years))
+    grid = np.full((3, len(units) + 1, len(years)), math.nan)  # rate, w, se
+    grid[1] = 1.0
+    grid[0, -1], grid[1, -1] = 0.0, -0.0
+    grid[:, row[take], np.searchsorted(years, year[take])] = rate[take], population[take], se[take]
+    rate, weight, se = grid
     return weight * rate, weight, weight * se > _SE_LIMIT
 
 
@@ -170,8 +174,8 @@ def run_placebo_study(
             if effect is not None
         })
         if effect_lc is None and effect_uc is None:
-            reason = EXCLUDED_NO_LOWER if not has[i] else EXCLUDED_NO_UPPER
-            results.append(PlaceboResult(unit, excluded_reason=reason))
+            # Both arms are empty: the unit has no lower (nor upper) neighbour.
+            results.append(PlaceboResult(unit, excluded_reason=EXCLUDED_NO_LOWER))
         else:
             results.append(PlaceboResult(unit, effect_lc=effect_lc, effect_uc=effect_uc))
     return tuple(results)
