@@ -15,9 +15,9 @@ import json
 import math
 import os
 import shutil
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from array import array
 from importlib import resources
 from itertools import chain, islice
 from pathlib import Path

@@ -6,16 +6,17 @@ The resulting point estimates form reference distributions (one per arm)
 against which the genuinely treated unit's estimates are ranked. Standard
 errors are not required: this is permutation-style inference on points.
 
-A study costs O(units x degree x years), in numpy: it reads the panel
-once into dense arrays (units sorted, by year) and folds every group
-summary it needs, over all units at once, in the summation order of
-:func:`~didbracket.estimation.weighted_period_mean`, so each mean is that
-function's to the bit (:func:`_group_means`). A summary that is not clean
-(a missing cell, a mean that is not finite, an SE that might overflow) is
-asked of ``weighted_period_mean`` itself, in the order a unit-by-unit loop
-asks, so the MissingData exclusions and the first overflow error are its
-own. ``AdjacencyGraph`` lives in :mod:`didbracket.model` and is
-re-exported here.
+A study costs O(units x degree x years), in numpy: one scatter of the
+panel's sorted columns fills dense arrays (units sorted, by year), and
+every group summary it needs is folded over all units at once, in the
+summation order of :func:`~didbracket.estimation.weighted_period_mean`,
+so each mean is that function's to the bit (:func:`_group_means`). A
+summary that is not clean (a missing cell, a mean that is not finite, an
+SE that might overflow) is asked of ``weighted_period_mean`` itself, in
+the order a unit-by-unit loop asks, so the MissingData exclusions and the
+first overflow error are its own. A unit with no usable arm has two empty
+arms and is excluded as NoLowerNeighbors. ``AdjacencyGraph`` lives in
+:mod:`didbracket.model` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -174,7 +175,6 @@ def run_placebo_study(
             if effect is not None
         })
         if effect_lc is None and effect_uc is None:
-            # Both arms are empty: the unit has no lower (nor upper) neighbour.
             results.append(PlaceboResult(unit, excluded_reason=EXCLUDED_NO_LOWER))
         else:
             results.append(PlaceboResult(unit, effect_lc=effect_lc, effect_uc=effect_uc))
