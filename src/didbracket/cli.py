@@ -18,8 +18,8 @@ invariant failure. Errors print one machine-readable line
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import io as dio
 from .bracketing import construct_control_groups, full_analysis
@@ -213,7 +213,7 @@ def cmd_simulate(cfg):
         shipped = shipped_scenarios()
         if cfg.scenario in shipped:
             scenario = shipped[cfg.scenario]
-        elif Path(cfg.scenario).is_file():
+        elif os.path.isfile(cfg.scenario):  # False for a name the OS refuses
             scenario = dio.load_scenario(cfg.scenario)
         else:
             raise ConfigError(

@@ -2,8 +2,9 @@
 
 File formats are deliberately plain: CSV for panels, adjacency, and
 tables; a flat ``key = value`` config grammar; versioned JSON for machine
-reports; hand-built SVG for plots. All writes are atomic
-(write-temp-then-rename) and byte-deterministic for fixed inputs.
+reports; hand-built SVG for plots. One reader opens every input file as
+UTF-8 (``_input_file``). All writes are atomic (write-temp-then-rename)
+and byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
     PanelDataset,
     PeriodRange,
     StudyDesign,
+    canonical_edge,
     check_record_values,
     values_in_range,
 )
@@ -47,6 +49,10 @@ import numpy as np  # after .simulation: importing it before leaves more memory 
 
 PANEL_REQUIRED = ("unit", "year", "rate", "population")
 PANEL_OPTIONAL = ("se", "deaths")
+# Each panel column's numpy dtype, Python type and parse-error noun, in the row parser's order.
+_PANEL_COLUMNS = {"unit": (object, str, "text"), "year": ("i8", int, "an integer"),
+                  "rate": ("f8", float, "a number"), "population": ("i8", int, "an integer"),
+                  "se": ("f8", float, "a number"), "deaths": ("i8", int, "an integer")}
 SCHEMA_VERSION = 1
 
 BUNDLED = "bundled"  # sentinel path meaning the packaged data file
@@ -64,9 +70,7 @@ def resolve_data_path(value, default_name: str) -> Path:
 
 def _conversion_error(path, line_no: int, row, idx) -> ParseError:
     """The ParseError for a row whose values do not all convert, naming the first bad column."""
-    for column, kind, noun in (("year", int, "an integer"), ("rate", float, "a number"),
-                               ("population", int, "an integer"), ("se", float, "a number"),
-                               ("deaths", int, "an integer")):
+    for column, (_, kind, noun) in _PANEL_COLUMNS.items():
         i = idx.get(column)
         if i is None or (column in PANEL_OPTIONAL and not row[i].strip()):
             continue
@@ -93,28 +97,38 @@ def _csv_rows(path: Path, lines, line_no: int = 0):
 
 
 @contextmanager
-def _csv_file(path: Path, kind: str):
-    """The stripped header of a UTF-8 CSV file, the open file after it, and the lines it took.
+def _input_file(path: Path, kind: str, missing: type, error: type):
+    """The open UTF-8 text of the ``kind`` input file ``path``, a leading byte-order mark dropped.
 
-    A byte-order mark before the header is dropped.
+    A path that names no regular file raises ``missing``; one the OS refuses (a name over
+    NAME_MAX, a file it may not read) and text that is not UTF-8 raise ``error``.
     """
-    if not path.is_file():
-        raise FileNotFoundError(f"{kind} file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            line_no, header = next(_csv_rows(path, fh), (0, None))
-            if header is None:
-                raise SchemaError(f"{path}: empty file, header required")
-            yield [c.strip() for c in header], fh, line_no
+        fh = path.open(newline="", encoding="utf-8-sig") if path.is_file() else None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+    if fh is None:
+        raise missing(f"{kind} file not found: {path}")
+    try:
+        with fh:
+            yield fh
     except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
+        raise error(f"{path}: not UTF-8 text") from None
+
+
+@contextmanager
+def _csv_file(path: Path, kind: str):
+    """The stripped header of a CSV input file, the open file after it, and the lines it took."""
+    with _input_file(path, kind, FileNotFoundError, DataError) as fh:
+        line_no, header = next(_csv_rows(path, fh), (0, None))
+        if header is None:
+            raise SchemaError(f"{path}: empty file, header required")
+        yield [c.strip() for c in header], fh, line_no
 
 
 # A panel file is read this many lines at a time by numpy's text reader. In
 # one piece, the 69,000-row benchmark panel raised the process peak by 13 MB.
 CHUNK_LINES = 2048
-_PANEL_DTYPES = {"unit": object, "year": "i8", "rate": "f8", "population": "i8",
-                 "se": "f8", "deaths": "i8"}
 # The bytes a plain chunk may hold: tab, CR, LF and printable ASCII but the
 # double quote. With no quote and no CR outside a CRLF, each line is one csv
 # row. Outside these, numpy 2.4's integer reader takes some letters as digits
@@ -127,22 +141,17 @@ def parse_panel_csv(path) -> PanelDataset:
 
     Header required; columns must be unit,year,rate,population plus
     optionally se and deaths, each once. Rows carrying deaths but no se get
-    the Poisson-model se derived for them. Any malformed row aborts with the
-    file line it ends on (a quoted field may hold a newline); the value
-    ranges are ``model.check_record_values``. A duplicate (unit, year) is
-    reported once every row has parsed, so a later malformed row is
-    reported first: the first row whose (unit, year) came before.
+    the Poisson-model se derived for them. The first malformed row or row
+    out of range (``model.values_in_range``) aborts with the file line it
+    ends on (a quoted field may hold a newline). A duplicate (unit, year) is
+    reported once every row has parsed: the first row whose key came before.
 
-    The file is read in chunks of ``CHUNK_LINES`` lines. A plain chunk is
-    read column-wise by ``np.loadtxt``. A chunk is not plain if it holds a
-    double quote, a carriage return that does not end a CRLF or any other
-    control character but tab and the line ends, a non-ASCII character, an
-    empty line or a line over ``csv.field_size_limit()``, or if numpy
-    refuses a value (a blank cell, ``1_000``) or a value or unit is out of
-    range. From that chunk to the end of the file the csv module reads the
+    The file is read in chunks of ``CHUNK_LINES`` lines. A plain chunk
+    (``_plain_columns``) is read column-wise by ``np.loadtxt``. From the first
+    chunk that is not plain to the end of the file the csv module reads the
     rows one at a time, and only that parser raises parse errors and names
-    their lines. Either route gives numpy columns, which one stable sort
-    orders by (unit, year) into the panel's; no per-row object is kept.
+    their lines. Either route gives checked numpy columns, which one stable
+    sort orders by (unit, year) into the panel's; no per-row object is kept.
     """
     path = Path(path)
     with _csv_file(path, "panel") as (cols, lines, line_no):
@@ -183,13 +192,11 @@ def _panel_chunks(path: Path, cols: list, lines, line_no: int):
     units as runs (``names[i]`` ``lengths[i]`` times), then int64 and float64
     arrays, a NaN se or a -1 deaths where absent.
     """
-    dtype = np.dtype([(c, _PANEL_DTYPES[c]) for c in cols])
+    dtype = np.dtype([(c, _PANEL_COLUMNS[c][0]) for c in cols])
     while chunk := list(islice(lines, CHUNK_LINES)):
         columns = _plain_columns(chunk, dtype)
         if columns is None:
-            rows = list(_row_entries(path, cols, _csv_rows(path, chain(chunk, lines), line_no)))
-            names, *values = zip(*rows) if rows else [()] * 6
-            yield names, 1, *map(np.array, values, ("i8", "f8", "i8", "f8", "i8"))
+            yield _row_columns(path, cols, chain(chunk, lines), line_no)
             return
         yield columns
         line_no += len(chunk)
@@ -229,41 +236,60 @@ def _plain_columns(chunk: list, dtype):
             np.full(len(raw), -1) if deaths is None else deaths)
 
 
-def _row_entries(path: Path, cols: list, rows):
-    """The entries of ``rows``, ``(line number, row)`` pairs, parsed and checked one row at a time.
+def _row_columns(path: Path, cols: list, lines, line_no: int) -> tuple:
+    """The chunk columns of the csv rows of ``lines``, whose first is line ``line_no + 1``.
 
-    Each is ``(unit, year, rate, population, se, deaths)``. A blank row is
-    skipped; a blank se is None (NaN in its float64 column), a blank deaths -1.
+    The rows are parsed one at a time; a blank row is skipped, and a blank se
+    or deaths is absent. Their ranges are checked on whole arrays, also when a
+    malformed row ends the read, so that a row out of range before it is the
+    error raised. Only if the arrays fail (as a year or a count beyond int64
+    does) is each row checked by ``check_record_values``, to name the first.
     """
     idx = {c: i for i, c in enumerate(cols)}
     width = len(cols)
     i_unit, i_year, i_rate, i_pop = (idx[c] for c in PANEL_REQUIRED)
     i_se, i_deaths = idx.get("se"), idx.get("deaths")
-    for line_no, row in rows:
-        if len(row) != width:
-            if not row or all(not cell.strip() for cell in row):
+    entries = []  # (line number, unit, year, rate, population, se, deaths); None if absent
+    try:
+        for line_no, row in _csv_rows(path, lines, line_no):
+            if len(row) != width:
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
+            unit = row[i_unit].strip()
+            if not unit and all(not cell.strip() for cell in row):
                 continue
-            raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
-        unit = row[i_unit].strip()
-        if not unit and all(not cell.strip() for cell in row):
-            continue
-        try:
-            year = int(row[i_year])
-            rate = float(row[i_rate])
-            population = int(row[i_pop])
-            se = row[i_se] if i_se is not None else ""
-            se = float(se) if se.strip() else None
-            deaths = row[i_deaths] if i_deaths is not None else ""
-            deaths = int(deaths) if deaths.strip() else None
-        except ValueError:
-            raise _conversion_error(path, line_no, row, idx) from None
-        try:
+            try:
+                year = int(row[i_year])
+                rate = float(row[i_rate])
+                population = int(row[i_pop])
+                se = row[i_se] if i_se is not None else ""
+                se = float(se) if se.strip() else None
+                deaths = row[i_deaths] if i_deaths is not None else ""
+                deaths = int(deaths) if deaths.strip() else None
+            except ValueError:
+                raise _conversion_error(path, line_no, row, idx) from None
             if se is None and deaths is not None:
-                se = poisson_rate_se(deaths, population)
-            check_record_values(unit, year, rate, population, se, deaths)
-        except DataError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        yield unit, year, rate, population, se, -1 if deaths is None else deaths
+                try:
+                    se = poisson_rate_se(deaths, population)
+                except DataError as exc:
+                    raise ParseError(path, line_no, str(exc)) from None
+            entries.append((line_no, unit, year, rate, population, se, deaths))
+    finally:
+        _, names, *values = zip(*entries) if entries else [()] * 7
+        kinds = [kind for kind, _, _ in _PANEL_COLUMNS.values()][1:]
+        try:  # each column's given values
+            given = [np.array([v for v in c if v is not None], k) for c, k in zip(values, kinds)]
+            in_range = all(names) and values_in_range(*given[1:])
+        except OverflowError:
+            in_range = False
+        for line_no, *entry in () if in_range else entries:
+            try:
+                check_record_values(*entry)
+            except DataError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+    deaths = [-1 if d is None else d for d in values[4]]
+    return names, 1, *given[:3], np.array(values[3], "f8"), np.array(deaths, "i8")
 
 
 def parse_adjacency_csv(path) -> AdjacencyGraph:
@@ -272,24 +298,18 @@ def parse_adjacency_csv(path) -> AdjacencyGraph:
     with _csv_file(path, "adjacency") as (cols, lines, line_no):
         if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
-        rows = _csv_rows(path, lines, line_no)
-
-        def pairs():
-            nonlocal line_no
-            for line_no, row in rows:
-                fields = [cell.strip() for cell in row]
-                if not any(fields):
-                    continue
-                if len(fields) != 2 or not all(fields):
-                    raise ParseError(path, line_no, "expected two nonempty fields")
-                yield fields
-
-        try:
-            return AdjacencyGraph.from_pairs(pairs())
-        except ParseError:
-            raise
-        except DataError as exc:  # a self-edge, on the row just read
-            raise ParseError(path, line_no, str(exc)) from None
+        edges = set()
+        for line_no, row in _csv_rows(path, lines, line_no):
+            fields = [cell.strip() for cell in row]
+            if not any(fields):
+                continue
+            if len(fields) != 2 or not all(fields):
+                raise ParseError(path, line_no, "expected two nonempty fields")
+            try:
+                edges.add(canonical_edge(*fields))
+            except DataError as exc:  # a self-edge
+                raise ParseError(path, line_no, str(exc)) from None
+    return AdjacencyGraph(frozenset(edges))
 
 
 # --- configuration -----------------------------------------------------------
@@ -367,15 +387,13 @@ def _read(key: str, reader, text):
         raise ConfigError(f"{key}: expected true/false, got {text!r}") from None
 
 
-def parse_config_text(text: str, origin: str = "<config>", allowed=None) -> dict:
+def parse_config_text(text: str, origin: str = "<config>", allowed=CONFIG_KEYS) -> dict:
     """Parse the flat config grammar.
 
     One ``key = value`` per line; blank lines and lines starting with '#'
     ignored; list values comma-separated; booleans true/false; periods as
     START-END year ranges. Unknown keys are errors.
     """
-    if allowed is None:
-        allowed = CONFIG_KEYS
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -418,16 +436,11 @@ def config_from_values(values: dict) -> AnalysisConfig:
     return cfg
 
 
-def _read_config_file(path, kind: str, allowed=None) -> dict:
-    """:func:`parse_config_text` of a file; ConfigError unless it is a UTF-8 regular file."""
+def _read_config_file(path, kind: str, allowed=CONFIG_KEYS) -> dict:
+    """:func:`parse_config_text` of a config or scenario file; ConfigError if it cannot be read."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"{kind} file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    return parse_config_text(text, str(path), allowed)
+    with _input_file(path, kind, ConfigError, ConfigError) as fh:
+        return parse_config_text(fh.read(), str(path), allowed)
 
 
 def load_config(path=None, overrides=None) -> AnalysisConfig:
@@ -520,11 +533,14 @@ def atomic_write_text(path, text: str) -> None:
 def check_out_dir(out_dir) -> None:
     """Raise ConfigError unless ``out_dir``, or its nearest existing parent, is a directory."""
     out_dir = Path(out_dir)
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise ConfigError(f"out_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
-            return
+    try:
+        for path in (out_dir, *out_dir.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise ConfigError(f"out_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
+                return
+    except OSError as exc:  # a path the OS refuses, such as a name over NAME_MAX
+        raise ConfigError(f"out_dir {str(out_dir)!r}: {exc.strerror}") from None
 
 
 def write_files(out_dir, files: dict) -> None:

@@ -1,15 +1,17 @@
 """Core domain types: panel data, adjacency, study designs, summaries, and reports.
 
 Everything here is an immutable value object; all operations are pure, so
-instances are safe to share across threads. No numpy here: see ``io``'s import.
+instances are safe to share across threads. No numpy here (a layering test
+checks it): see ``io``'s import.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
@@ -22,46 +24,37 @@ from .errors import DataError, InvariantError
 MAX_COUNT = 2**53
 
 
-def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
-    """Raise DataError unless one unit-year's values are in range.
+# The value rules of a panel row, in order: a value lies in [low, high], or the message of the
+# bound it breaks is raised. NaN fails every comparison, so [0, DBL_MAX] is "finite and >= 0";
+# counts are integers, so [1, ...] is "positive". An absent se or deaths (None) is not checked.
+_VALUE_RULES = {  # column: (low, message below it, high, message above it)
+    "rate": (0.0, "must be finite and >= 0", sys.float_info.max, "must be finite and >= 0"),
+    "population": (1, "must be positive", MAX_COUNT, "must be at most 2**53"),
+    "se": (0.0, "must be finite and >= 0", sys.float_info.max, "must be finite and >= 0"),
+    "deaths": (0, "must be >= 0", MAX_COUNT, "must be at most 2**53"),
+}
 
-    With :func:`values_in_range` below, the one place the value ranges of
-    a panel row are checked: a PanelRecord runs it on construction and
-    ``parse_panel_csv`` once per row it reads one at a time. Change the two
-    together.
+
+def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
+    """Raise DataError, naming the first broken rule, unless one unit-year's values are in range.
+
+    Past the unit and the year it walks ``_VALUE_RULES``, as :func:`values_in_range` does columns.
     """
     if not unit_id:
         raise DataError("unit_id must be a nonempty string")
     if not -(2**63) <= year < 2**63:
         raise DataError(f"{unit_id} {year}: year must fit in a signed 64-bit integer")
-    if not math.isfinite(rate) or rate < 0:
-        raise DataError(f"{unit_id} {year}: rate must be finite and >= 0")
-    if population <= 0:
-        raise DataError(f"{unit_id} {year}: population must be positive")
-    if population > MAX_COUNT:
-        raise DataError(f"{unit_id} {year}: population must be at most 2**53")
-    if se is not None and (not math.isfinite(se) or se < 0):
-        raise DataError(f"{unit_id} {year}: se must be finite and >= 0")
-    if deaths is not None and deaths < 0:
-        raise DataError(f"{unit_id} {year}: deaths must be >= 0")
-    if deaths is not None and deaths > MAX_COUNT:
-        raise DataError(f"{unit_id} {year}: deaths must be at most 2**53")
+    row = {"rate": rate, "population": population, "se": se, "deaths": deaths}
+    for column, (low, below, high, above) in _VALUE_RULES.items():
+        if row[column] is not None and not low <= row[column] <= high:
+            raise DataError(f"{unit_id} {year}: {column} {above if low <= row[column] else below}")
 
 
 def values_in_range(rate, population, se, deaths) -> bool:
-    """Whether :func:`check_record_values` passes every row of these numpy columns.
-
-    ``se`` or ``deaths`` is None for a panel without that column; the unit,
-    which ``parse_panel_csv`` checks itself, and the year, which its int64
-    column keeps in range, are not taken. NaN fails every comparison, so
-    ``0 <= x < inf`` is "finite and >= 0".
-    """
-    ok = (rate >= 0) & (rate < math.inf) & (population > 0) & (population <= MAX_COUNT)
-    if se is not None:
-        ok &= (se >= 0) & (se < math.inf)
-    if deaths is not None:
-        ok &= (deaths >= 0) & (deaths <= MAX_COUNT)
-    return bool(ok.all())
+    """Whether these numpy columns keep ``_VALUE_RULES``; a None ``se`` or ``deaths`` is absent."""
+    columns = {"rate": rate, "population": population, "se": se, "deaths": deaths}
+    return all(columns[c] is None or bool(((low <= columns[c]) & (columns[c] <= high)).all())
+               for c, (low, _, high, _) in _VALUE_RULES.items())
 
 
 @dataclass(frozen=True)
@@ -121,9 +114,6 @@ class PanelDataset:
             object.__setattr__(self, name, value)
         return self
 
-    def __reduce__(self):
-        return (PanelDataset.from_columns, self.columns())
-
     def columns(self) -> tuple:
         """The arguments of :meth:`from_columns`: the panel's own arrays, to be read only."""
         return (tuple(self._index), self._starts, self._year, self._rate, self._population,
@@ -181,35 +171,28 @@ def canonical_edge(a: str, b: str) -> tuple:
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
-    """Undirected unit adjacency; edges are canonical sorted pairs.
+    """Undirected unit adjacency; ``edges`` are pairs, canonical (sorted) when parsed.
 
-    The ``unit -> neighbours`` map is built in the same pass as the edges
-    (:meth:`from_pairs`), so a lookup is one dict access, not a scan of
-    every edge. It takes no part in equality, hashing or the repr, which
-    depend on ``edges`` alone; a graph constructed from ``edges`` only
-    builds it from them.
+    The ``unit -> neighbours`` lists are built from ``edges``, in either orientation, on
+    construction; they are not a field, so equality, hashing and the repr depend on ``edges`` alone.
     """
 
     edges: frozenset
-    _neighbors: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self._neighbors is None:
-            object.__setattr__(self, "_neighbors", AdjacencyGraph.from_pairs(self.edges)._neighbors)
+        adjacent = defaultdict(list)
+        for a, b in self.edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        object.__setattr__(self, "_neighbors", adjacent)
 
     @classmethod
     def from_pairs(cls, pairs) -> "AdjacencyGraph":
         """The graph of ``pairs``, in either orientation; DataError on a self-edge."""
-        edges = set()
-        adjacent = defaultdict(list)
-        for a, b in pairs:
-            edges.add(canonical_edge(a, b))
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-        return cls(frozenset(edges), {unit: frozenset(nbrs) for unit, nbrs in adjacent.items()})
+        return cls(frozenset(canonical_edge(a, b) for a, b in pairs))
 
     def neighbors(self, unit: str) -> frozenset:
-        return self._neighbors.get(unit, frozenset())
+        return frozenset(self._neighbors.get(unit, ()))
 
 
 @dataclass(frozen=True, order=True)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import run_captured, write_panel_csv
 from didbracket import cli
 from didbracket import io as dio
-from didbracket.errors import ConfigError, MissingSEError, ParseError, SchemaError
+from didbracket.errors import ConfigError, DataError, MissingSEError, ParseError, SchemaError
 from didbracket.io import (
     AnalysisConfig,
     bundled_path,
@@ -34,7 +34,7 @@ from didbracket.io import (
     round_half_up,
     to_json,
 )
-from didbracket.model import PanelDataset, PanelRecord, PeriodRange
+from didbracket.model import AdjacencyGraph, PanelDataset, PanelRecord, PeriodRange
 from didbracket.placebo import HistBin
 from didbracket.simulation import (
     TIME_EFFECTS,
@@ -883,6 +883,17 @@ def test_out_dir_naming_a_file_exits_2_before_any_input_is_read(tmp_path, comman
     assert sorted(p.name for p in scratch.iterdir()) == ["out"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_out_dir_name_too_long_exits_2_before_any_input_is_read(tmp_path, command):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    out = scratch / ("x" * (os.pathconf(scratch, "PC_NAME_MAX") + 1))
+    code, stdout, stderr = run_captured(_base_argv(command, scratch) + ["--out-dir", str(out)])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"Config: out_dir {str(out)!r}: File name too long\n"
+    assert list(scratch.iterdir()) == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["analyze", "diagnose", "placebo", "simulate"]),
@@ -975,14 +986,24 @@ _EMPTY_PANEL = PAPER_CONFIG.read_bytes().replace(b"panel = bundled", b"panel =")
          "Config: {file}: not UTF-8 text"),
         (["simulate", "--scenario", "{file}"], _MINIMAL_SCENARIO.encode() + b"# \xff\n", 2,
          "Config: {file}: not UTF-8 text"),
+        (["analyze", "--config", _PAPER, "--panel", "{long}"], None, 3,
+         "Data: {long}: File name too long"),
+        (["analyze", "--config", _PAPER, "--adjacency", "{long}"], None, 3,
+         "Data: {long}: File name too long"),
+        (["simulate", "--config", "{long}"], None, 2, "Config: {long}: File name too long"),
+        (["simulate", "--scenario", "{long}"], None, 2,
+         "Config: scenario '{long}' is neither a shipped name"),
     ],
     ids=["panel directory", "empty panel value", "adjacency directory", "panel not UTF-8",
-         "adjacency not UTF-8", "config not UTF-8", "scenario not UTF-8"],
+         "adjacency not UTF-8", "config not UTF-8", "scenario not UTF-8",
+         "panel name too long", "adjacency name too long", "config name too long",
+         "scenario name too long"],
 )
 def test_directory_or_non_utf8_input_exits_cleanly_with_one_line(
     tmp_path, argv, content, expected_code, prefix
 ):
-    names = {"dir": tmp_path, "file": tmp_path / "input.txt"}
+    names = {"dir": tmp_path, "file": tmp_path / "input.txt",
+             "long": tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))}
     if content is not None:
         names["file"].write_bytes(content)
     out = tmp_path / "out"
@@ -1231,6 +1252,38 @@ def test_adjacency_parse_errors_exit_3_with_one_line(tmp_path, text, expected):
     assert not out.exists()
 
 
+_ADJACENCY_UNITS = ("Iowa", "New York", "b", "B", "Ohio")
+# Ways a line may write the edge {0}-{1}: either orientation, padded or not.
+_EDGE_LINES = ("{0},{1}", "{1},{0}", " {0} , {1} ", "  {1},{0}  ", "{0}  ,{1} ", " {1}, {0}")
+
+
+@st.composite
+def _adjacency_layouts(draw):
+    """Edge pairs, and a file of them in a random layout: edge order, orientation,
+    repeated edges, padding spaces, blank lines, a byte-order mark and line ends."""
+    unit = st.sampled_from(_ADJACENCY_UNITS)
+    pairs = draw(st.lists(st.tuples(unit, unit).filter(lambda p: p[0] != p[1]), max_size=8))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    lines = [draw(st.sampled_from(_EDGE_LINES)).format(*pair)
+             for pair in draw(st.permutations(pairs + repeats))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", " , "])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return pairs, draw(st.sampled_from(["", "\ufeff"])) + eol.join(["unit_a,unit_b", *lines]) + eol
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=_adjacency_layouts())
+def test_adjacency_file_layouts_parse_to_the_graph_of_their_pairs(tmp_path_factory, layout):
+    pairs, text = layout
+    path = tmp_path_factory.getbasetemp() / "adjacency_layout.csv"  # rewritten by each example
+    path.write_bytes(text.encode("utf-8"))
+    graph, want = parse_adjacency_csv(path), AdjacencyGraph.from_pairs(pairs)
+    assert graph == want
+    for unit in (*_ADJACENCY_UNITS, "zz"):
+        assert graph.neighbors(unit) == want.neighbors(unit)
+
+
 def _analyze_panel(tmp_path, text):
     path = tmp_path / "panel.csv"
     path.write_text(text, encoding="utf-8")
@@ -1248,6 +1301,16 @@ def test_panel_errors_name_the_file_line_after_a_multi_line_field(tmp_path):
     assert _analyze_panel(tmp_path, text) == (
         3, "", "Parse: {path}:4: b 2000: rate must be finite and >= 0\n"
     )
+
+
+@pytest.mark.parametrize("rows, message", [
+    ('"a",2000,-1,100\nb,x,1.0,100\n', "a 2000: rate must be finite and >= 0"),
+    ('b,x,1.0,100\n"a",2000,-1,100\n', "column 'year': not an integer: 'x'"),
+], ids=["out of range, then malformed", "malformed, then out of range"])
+def test_the_row_parser_names_the_first_bad_row_in_file_order(tmp_path, rows, message):
+    # The quote sends the file to the row parser, which checks ranges on whole arrays.
+    text = "unit,year,rate,population\n" + rows
+    assert _analyze_panel(tmp_path, text) == (3, "", f"Parse: {{path}}:2: {message}\n")
 
 
 _HUGE = 10**400
@@ -1308,6 +1371,37 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path, name, parse):
     if parse is parse_panel_csv:
         got, want = got.records, want.records
     assert got == want
+
+
+@pytest.mark.parametrize("text, load", [("reps = 200\nscenario = additive\n", load_config),
+                                        (_MINIMAL_SCENARIO, load_scenario)],
+                         ids=["config", "scenario"])
+def test_a_leading_byte_order_mark_is_ignored_in_config_and_scenario_files(tmp_path, text, load):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load(marked) == load(plain)
+
+
+# Rows that each break two value rules; the first rule in the order rate,
+# population > 0, population <= 2**53, se, deaths >= 0, deaths <= 2**53 is named.
+_TWO_RULES_BROKEN = [
+    ((math.nan, 0, 0.5, 1), "nan,0,0.5,1", "rate must be finite and >= 0"),
+    ((1.0, 0, -1.0, 1), "1.0,0,-1,1", "population must be positive"),
+    ((1.0, 2**53 + 1, 0.5, -1), f"1.0,{2**53 + 1},0.5,-1", "population must be at most 2**53"),
+    ((1.0, 100, math.inf, -1), "1.0,100,inf,-1", "se must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("values, cells, message", _TWO_RULES_BROKEN,
+                         ids=["rate", "population > 0", "population <= 2**53", "se"])
+def test_a_row_breaking_two_rules_names_the_first(tmp_path, values, cells, message):
+    rate, population, se, deaths = values
+    with pytest.raises(DataError) as caught:
+        PanelRecord("a", 2000, rate, population, se, deaths)
+    assert str(caught.value) == f"a 2000: {message}"
+    text = f"unit,year,rate,population,se,deaths\na,2000,{cells}\n"  # a plain line
+    assert _analyze_panel(tmp_path, text) == (3, "", f"Parse: {{path}}:2: a 2000: {message}\n")
 
 
 # --- values that overflow float64 ---------------------------------------------

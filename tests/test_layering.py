@@ -6,6 +6,9 @@ so both rules are checked on the source with ``ast``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "didbracket"
@@ -88,3 +91,16 @@ def test_no_import_cycle_among_the_modules():
 def test_the_cycle_finder_finds_a_cycle():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_importing_the_package_loads_no_numpy():
+    # ``import didbracket`` loads model and the estimation layers, which hold
+    # no numpy (model's docstring): numpy loaded before ``.simulation``
+    # leaves more memory resident (see ``io``'s import). The child process
+    # imports the package from this process's path.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, didbracket; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
