@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import io as _io
 import json
 import math
@@ -49,10 +50,11 @@ import numpy as np  # after .simulation: importing it before leaves more memory 
 
 PANEL_REQUIRED = ("unit", "year", "rate", "population")
 PANEL_OPTIONAL = ("se", "deaths")
-# Each panel column's numpy dtype, Python type and parse-error noun, in the row parser's order.
-_PANEL_COLUMNS = {"unit": (object, str, "text"), "year": ("i8", int, "an integer"),
-                  "rate": ("f8", float, "a number"), "population": ("i8", int, "an integer"),
-                  "se": ("f8", float, "a number"), "deaths": ("i8", int, "an integer")}
+# Each numeric panel column's numpy dtype, Python type and parse-error noun, in the order of
+# the values of ``_row_entries``; the unit is text, an object column.
+_PANEL_COLUMNS = {"year": ("i8", int, "an integer"), "rate": ("f8", float, "a number"),
+                  "population": ("i8", int, "an integer"), "se": ("f8", float, "a number"),
+                  "deaths": ("i8", int, "an integer")}
 SCHEMA_VERSION = 1
 
 BUNDLED = "bundled"  # sentinel path meaning the packaged data file
@@ -142,7 +144,7 @@ def parse_panel_csv(path) -> PanelDataset:
     Header required; columns must be unit,year,rate,population plus
     optionally se and deaths, each once. Rows carrying deaths but no se get
     the Poisson-model se derived for them. The first malformed row or row
-    out of range (``model.values_in_range``) aborts with the file line it
+    out of range (``model.check_record_values``) aborts with the file line it
     ends on (a quoted field may hold a newline). A duplicate (unit, year) is
     reported once every row has parsed: the first row whose key came before.
 
@@ -192,11 +194,13 @@ def _panel_chunks(path: Path, cols: list, lines, line_no: int):
     units as runs (``names[i]`` ``lengths[i]`` times), then int64 and float64
     arrays, a NaN se or a -1 deaths where absent.
     """
-    dtype = np.dtype([(c, _PANEL_COLUMNS[c][0]) for c in cols])
+    dtype = np.dtype([(c, object if c == "unit" else _PANEL_COLUMNS[c][0]) for c in cols])
     while chunk := list(islice(lines, CHUNK_LINES)):
         columns = _plain_columns(chunk, dtype)
         if columns is None:
-            yield _row_columns(path, cols, chain(chunk, lines), line_no)
+            rows = list(_row_entries(path, cols, _csv_rows(path, chain(chunk, lines), line_no)))
+            names, *values = zip(*rows) if rows else [()] * 6
+            yield names, 1, *map(np.array, values, (k for k, _, _ in _PANEL_COLUMNS.values()))
             return
         yield columns
         line_no += len(chunk)
@@ -236,60 +240,41 @@ def _plain_columns(chunk: list, dtype):
             np.full(len(raw), -1) if deaths is None else deaths)
 
 
-def _row_columns(path: Path, cols: list, lines, line_no: int) -> tuple:
-    """The chunk columns of the csv rows of ``lines``, whose first is line ``line_no + 1``.
+def _row_entries(path: Path, cols: list, rows):
+    """The entries of ``rows``, ``(line number, row)`` pairs, parsed and checked one row at a time.
 
-    The rows are parsed one at a time; a blank row is skipped, and a blank se
-    or deaths is absent. Their ranges are checked on whole arrays, also when a
-    malformed row ends the read, so that a row out of range before it is the
-    error raised. Only if the arrays fail (as a year or a count beyond int64
-    does) is each row checked by ``check_record_values``, to name the first.
+    Each is ``(unit, year, rate, population, se, deaths)``. A blank row is
+    skipped; a blank se is None (NaN in its float64 column), a blank deaths -1.
     """
     idx = {c: i for i, c in enumerate(cols)}
     width = len(cols)
     i_unit, i_year, i_rate, i_pop = (idx[c] for c in PANEL_REQUIRED)
     i_se, i_deaths = idx.get("se"), idx.get("deaths")
-    entries = []  # (line number, unit, year, rate, population, se, deaths); None if absent
-    try:
-        for line_no, row in _csv_rows(path, lines, line_no):
-            if len(row) != width:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
-            unit = row[i_unit].strip()
-            if not unit and all(not cell.strip() for cell in row):
+    for line_no, row in rows:
+        if len(row) != width:
+            if not row or all(not cell.strip() for cell in row):
                 continue
-            try:
-                year = int(row[i_year])
-                rate = float(row[i_rate])
-                population = int(row[i_pop])
-                se = row[i_se] if i_se is not None else ""
-                se = float(se) if se.strip() else None
-                deaths = row[i_deaths] if i_deaths is not None else ""
-                deaths = int(deaths) if deaths.strip() else None
-            except ValueError:
-                raise _conversion_error(path, line_no, row, idx) from None
+            raise ParseError(path, line_no, f"expected {width} fields, got {len(row)}")
+        unit = row[i_unit].strip()
+        if not unit and all(not cell.strip() for cell in row):
+            continue
+        try:
+            year = int(row[i_year])
+            rate = float(row[i_rate])
+            population = int(row[i_pop])
+            se = row[i_se] if i_se is not None else ""
+            se = float(se) if se.strip() else None
+            deaths = row[i_deaths] if i_deaths is not None else ""
+            deaths = int(deaths) if deaths.strip() else None
+        except ValueError:
+            raise _conversion_error(path, line_no, row, idx) from None
+        try:
             if se is None and deaths is not None:
-                try:
-                    se = poisson_rate_se(deaths, population)
-                except DataError as exc:
-                    raise ParseError(path, line_no, str(exc)) from None
-            entries.append((line_no, unit, year, rate, population, se, deaths))
-    finally:
-        _, names, *values = zip(*entries) if entries else [()] * 7
-        kinds = [kind for kind, _, _ in _PANEL_COLUMNS.values()][1:]
-        try:  # each column's given values
-            given = [np.array([v for v in c if v is not None], k) for c, k in zip(values, kinds)]
-            in_range = all(names) and values_in_range(*given[1:])
-        except OverflowError:
-            in_range = False
-        for line_no, *entry in () if in_range else entries:
-            try:
-                check_record_values(*entry)
-            except DataError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-    deaths = [-1 if d is None else d for d in values[4]]
-    return names, 1, *given[:3], np.array(values[3], "f8"), np.array(deaths, "i8")
+                se = poisson_rate_se(deaths, population)
+            check_record_values(unit, year, rate, population, se, deaths)
+        except DataError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        yield unit, year, rate, population, se, -1 if deaths is None else deaths
 
 
 def parse_adjacency_csv(path) -> AdjacencyGraph:
@@ -531,15 +516,25 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def check_out_dir(out_dir) -> None:
-    """Raise ConfigError unless ``out_dir``, or its nearest existing parent, is a directory."""
+    """Raise ConfigError unless ``out_dir``, or its nearest existing parent, is a directory.
+
+    A name the OS refuses (over NAME_MAX), in ``out_dir`` or in a directory still to be made
+    under that parent, raises ConfigError too.
+    """
     out_dir = Path(out_dir)
     try:
+        names = []  # the byte lengths of the directories still to be made
         for path in (out_dir, *out_dir.parents):
             if path.exists():
-                if not path.is_dir():
-                    raise ConfigError(f"out_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
-                return
-    except OSError as exc:  # a path the OS refuses, such as a name over NAME_MAX
+                break
+            names.append(len(os.fsencode(path.name)))
+        else:
+            return
+        if not path.is_dir():
+            raise ConfigError(f"out_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
+        if max(names, default=0) > os.pathconf(path, "PC_NAME_MAX"):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
+    except OSError as exc:  # exists() raises for a name over NAME_MAX under an existing directory
         raise ConfigError(f"out_dir {str(out_dir)!r}: {exc.strerror}") from None
 
 

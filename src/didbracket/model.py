@@ -27,12 +27,12 @@ MAX_COUNT = 2**53
 # The value rules of a panel row, in order: a value lies in [low, high], or the message of the
 # bound it breaks is raised. NaN fails every comparison, so [0, DBL_MAX] is "finite and >= 0";
 # counts are integers, so [1, ...] is "positive". An absent se or deaths (None) is not checked.
-_VALUE_RULES = {  # column: (low, message below it, high, message above it)
-    "rate": (0.0, "must be finite and >= 0", sys.float_info.max, "must be finite and >= 0"),
-    "population": (1, "must be positive", MAX_COUNT, "must be at most 2**53"),
-    "se": (0.0, "must be finite and >= 0", sys.float_info.max, "must be finite and >= 0"),
-    "deaths": (0, "must be >= 0", MAX_COUNT, "must be at most 2**53"),
-}
+_VALUE_RULES = (  # (column, low, message below it, high, message above it)
+    ("rate", 0.0, "must be finite and >= 0", sys.float_info.max, "must be finite and >= 0"),
+    ("population", 1, "must be positive", MAX_COUNT, "must be at most 2**53"),
+    ("se", 0.0, "must be finite and >= 0", sys.float_info.max, "must be finite and >= 0"),
+    ("deaths", 0, "must be >= 0", MAX_COUNT, "must be at most 2**53"),
+)
 
 
 def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
@@ -44,17 +44,16 @@ def check_record_values(unit_id, year, rate, population, se, deaths) -> None:
         raise DataError("unit_id must be a nonempty string")
     if not -(2**63) <= year < 2**63:
         raise DataError(f"{unit_id} {year}: year must fit in a signed 64-bit integer")
-    row = {"rate": rate, "population": population, "se": se, "deaths": deaths}
-    for column, (low, below, high, above) in _VALUE_RULES.items():
-        if row[column] is not None and not low <= row[column] <= high:
-            raise DataError(f"{unit_id} {year}: {column} {above if low <= row[column] else below}")
+    for value, (column, low, below, high, above) in zip((rate, population, se, deaths),
+                                                        _VALUE_RULES):
+        if value is not None and not low <= value <= high:
+            raise DataError(f"{unit_id} {year}: {column} {above if low <= value else below}")
 
 
 def values_in_range(rate, population, se, deaths) -> bool:
     """Whether these numpy columns keep ``_VALUE_RULES``; a None ``se`` or ``deaths`` is absent."""
-    columns = {"rate": rate, "population": population, "se": se, "deaths": deaths}
-    return all(columns[c] is None or bool(((low <= columns[c]) & (columns[c] <= high)).all())
-               for c, (low, _, high, _) in _VALUE_RULES.items())
+    rules = zip((rate, population, se, deaths), _VALUE_RULES)
+    return all(c is None or ((low <= c) & (c <= high)).all() for c, (_, low, _, high, _) in rules)
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,9 @@ class PanelDataset:
         for name, value in zip(self.__slots__, (index, *columns)):
             object.__setattr__(self, name, value)
         return self
+
+    def __reduce__(self):  # pickles at every protocol; __slots__ alone does not at 0 and 1
+        return (PanelDataset.from_columns, self.columns())
 
     def columns(self) -> tuple:
         """The arguments of :meth:`from_columns`: the panel's own arrays, to be read only."""
@@ -174,14 +176,16 @@ class AdjacencyGraph:
     """Undirected unit adjacency; ``edges`` are pairs, canonical (sorted) when parsed.
 
     The ``unit -> neighbours`` lists are built from ``edges``, in either orientation, on
-    construction; they are not a field, so equality, hashing and the repr depend on ``edges`` alone.
+    construction (DataError on a self-edge); they are not a field, so equality, hashing and the
+    repr depend on ``edges`` alone.
     """
 
     edges: frozenset
 
     def __post_init__(self):
         adjacent = defaultdict(list)
-        for a, b in self.edges:
+        for edge in self.edges:
+            a, b = canonical_edge(*edge)
             adjacent[a].append(b)
             adjacent[b].append(a)
         object.__setattr__(self, "_neighbors", adjacent)

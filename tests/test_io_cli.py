@@ -884,10 +884,13 @@ def test_out_dir_naming_a_file_exits_2_before_any_input_is_read(tmp_path, comman
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
-def test_out_dir_name_too_long_exits_2_before_any_input_is_read(tmp_path, command):
+@pytest.mark.parametrize("under_new", [False, True], ids=["here", "under a new directory"])
+def test_out_dir_name_too_long_exits_2_before_any_input_is_read(tmp_path, command, under_new):
+    # Under a directory that does not exist yet, the OS reports that before the long name.
     scratch = tmp_path / "scratch"
     scratch.mkdir()
-    out = scratch / ("x" * (os.pathconf(scratch, "PC_NAME_MAX") + 1))
+    long = "x" * (os.pathconf(scratch, "PC_NAME_MAX") + 1)
+    out = scratch / "new" / long / "sub" if under_new else scratch / long
     code, stdout, stderr = run_captured(_base_argv(command, scratch) + ["--out-dir", str(out)])
     assert (code, stdout) == (2, "")
     assert stderr == f"Config: out_dir {str(out)!r}: File name too long\n"
@@ -1284,6 +1287,11 @@ def test_adjacency_file_layouts_parse_to_the_graph_of_their_pairs(tmp_path_facto
         assert graph.neighbors(unit) == want.neighbors(unit)
 
 
+def test_a_graph_built_with_a_self_edge_raises():
+    with pytest.raises(DataError, match="^self-edge on 'a'$"):
+        AdjacencyGraph(frozenset({("b", "c"), ("a", "a")}))
+
+
 def _analyze_panel(tmp_path, text):
     path = tmp_path / "panel.csv"
     path.write_text(text, encoding="utf-8")
@@ -1308,7 +1316,7 @@ def test_panel_errors_name_the_file_line_after_a_multi_line_field(tmp_path):
     ('b,x,1.0,100\n"a",2000,-1,100\n', "column 'year': not an integer: 'x'"),
 ], ids=["out of range, then malformed", "malformed, then out of range"])
 def test_the_row_parser_names_the_first_bad_row_in_file_order(tmp_path, rows, message):
-    # The quote sends the file to the row parser, which checks ranges on whole arrays.
+    # The quote sends the file to the row parser, which checks one row at a time.
     text = "unit,year,rate,population\n" + rows
     assert _analyze_panel(tmp_path, text) == (3, "", f"Parse: {{path}}:2: {message}\n")
 

@@ -21,7 +21,7 @@ from didbracket import placebo
 from didbracket.errors import DataError, OutOfDomainError, ParseError
 from didbracket.estimation import poisson_rate_se, weighted_period_mean
 from didbracket.io import parse_panel_csv
-from didbracket.model import PanelDataset, PanelRecord, PeriodRange
+from didbracket.model import AdjacencyGraph, PanelDataset, PanelRecord, PeriodRange
 from test_parse_columns import _same_as_oracle, loadtxt_calls, plain_panels  # noqa: F401
 from test_parse_oracle import oracle_parse_panel_csv
 
@@ -90,6 +90,16 @@ def test_parsed_panel_equals_the_panel_of_its_records(tmp_path_factory, records,
             for year, values in panel.row(unit).items():
                 assert type(year) is int
                 assert all(type(x) in (float, int, type(None)) for x in values)
+
+
+def test_panel_and_graph_pickle_at_every_protocol():
+    panel = PanelDataset([PanelRecord("b", 2001, 2.0, 200),
+                          PanelRecord("a", 2000, 1.0, 100, 0.5, 3)])
+    graph = AdjacencyGraph.from_pairs([("b", "a"), ("a", "c")])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        panel_clone, graph_clone = pickle.loads(pickle.dumps((panel, graph), protocol))
+        assert panel_clone.records == panel.records
+        assert graph_clone == graph and graph_clone.neighbors("a") == frozenset({"b", "c"})
 
 
 def test_a_panel_row_holds_python_floats_whose_square_overflows(tmp_path):
