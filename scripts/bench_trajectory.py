@@ -3,9 +3,9 @@
 
 Reads the untraced (``-trace0``) records that ``bench/run.py`` leaves in a
 results directory and writes, per workload, the seeds and the median and
-quartiles of ``call_s_p50``, ``items_per_s`` and ``peak_rss_mb``, with the
-measured source's sha256, its git commit and the Python and numpy
-versions. Given the results directory of a parent checkout run on the
+quartiles of ``setup_s``, ``call_s_p50``, ``items_per_s`` and
+``peak_rss_mb``, with the measured source's sha256, its git commit and the
+Python and numpy versions. Given the results directory of a parent checkout run on the
 same seeds, it adds the parent's figures and how many seed pairs the
 change won on each metric.
 
@@ -22,7 +22,8 @@ import json
 import statistics
 from pathlib import Path
 
-METRICS = {"call_s_p50": "lower", "items_per_s": "higher", "peak_rss_mb": "lower"}
+METRICS = {"setup_s": "lower", "call_s_p50": "lower", "items_per_s": "higher",
+           "peak_rss_mb": "lower"}
 
 
 def load_records(results: Path) -> dict:
@@ -102,7 +103,8 @@ def build(number: int, change: dict, parent=None) -> dict:
         "numpy": provenance["numpy"],
         "nproc": provenance["nproc"],
         "seconds": first["seconds"],
-        "units": {"call_s_p50": "reference s", "items_per_s": "items/s", "peak_rss_mb": "MB"},
+        "units": {"setup_s": "reference s", "call_s_p50": "reference s", "items_per_s": "items/s",
+                  "peak_rss_mb": "MB"},
         "workloads": {},
     }
     if parent:

@@ -3,8 +3,11 @@
 File formats are deliberately plain: CSV for panels, adjacency, and
 tables; a flat ``key = value`` config grammar; versioned JSON for machine
 reports; hand-built SVG for plots. One reader opens every input file as
-UTF-8 (``_input_file``). All writes are atomic (write-temp-then-rename)
-and byte-deterministic for fixed inputs.
+UTF-8 (``_input_file``). The panel and adjacency CSVs are read in chunks
+of lines: a plain chunk (``_plain_table``) column-wise by numpy's C text
+reader, and from the first chunk that is not plain on, row by row by the
+csv module, the only route that raises parse errors. All writes are
+atomic (write-temp-then-rename) and byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -128,14 +131,40 @@ def _csv_file(path: Path, kind: str):
         yield [c.strip() for c in header], fh, line_no
 
 
-# A panel file is read this many lines at a time by numpy's text reader. In
-# one piece, the 69,000-row benchmark panel raised the process peak by 13 MB.
+# A panel or adjacency file is read this many lines at a time by numpy's text
+# reader. In one piece, the 69,000-row benchmark panel raised the process peak
+# by 13 MB.
 CHUNK_LINES = 2048
 # The bytes a plain chunk may hold: tab, CR, LF and printable ASCII but the
 # double quote. With no quote and no CR outside a CRLF, each line is one csv
 # row. Outside these, numpy 2.4's integer reader takes some letters as digits
 # (U+01FE as 462) and skips \x1c-\x1f around a number, which int() refuses.
 _PLAIN_BYTES = (b"\t\n\r" + bytes(range(ord(" "), ord("~") + 1))).replace(b'"', b"")
+
+
+def _plain_table(chunk: list, dtype):
+    """``np.loadtxt``'s table of a plain chunk of lines; None if it is not plain.
+
+    A chunk is plain when it holds only ``_PLAIN_BYTES``, a carriage return
+    only before a newline, no empty line and no line over the csv field size
+    limit, and numpy takes every value and finds one field per column on
+    each line. numpy then reads each number as int() or float() would, and
+    splits each line where csv would. The chunk's lines come from a file
+    opened with ``newline=""``, so a line ends at its only LF, CRLF or lone
+    CR, and an empty line is a whole ``"\n"`` or ``"\r\n"``.
+    """
+    text = "".join(chunk)
+    limit = csv.field_size_limit()
+    if (not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES)
+            or "\n" in chunk
+            or "\r" in text and ("\r\n" in chunk or text.count("\r") != text.count("\r\n"))
+            or len(text) > limit and max(map(len, chunk)) > limit):
+        return None
+    try:
+        return np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                          ndmin=1)
+    except ValueError:
+        return None
 
 
 def parse_panel_csv(path) -> PanelDataset:
@@ -149,11 +178,12 @@ def parse_panel_csv(path) -> PanelDataset:
     reported once every row has parsed: the first row whose key came before.
 
     The file is read in chunks of ``CHUNK_LINES`` lines. A plain chunk
-    (``_plain_columns``) is read column-wise by ``np.loadtxt``. From the first
+    (``_plain_table``) is read column-wise by ``np.loadtxt``. From the first
     chunk that is not plain to the end of the file the csv module reads the
     rows one at a time, and only that parser raises parse errors and names
-    their lines. Either route gives checked numpy columns, which one stable
-    sort orders by (unit, year) into the panel's; no per-row object is kept.
+    their lines. Either route gives checked numpy columns. Rows already in
+    (unit, year) order, with no key twice, are the panel's as they stand;
+    otherwise one stable sort orders them. No per-row object is kept.
     """
     path = Path(path)
     with _csv_file(path, "panel") as (cols, lines, line_no):
@@ -167,9 +197,12 @@ def parse_panel_csv(path) -> PanelDataset:
         repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
         if repeated:
             raise SchemaError(f"{path}: header names column {repeated[0]!r} more than once")
+        dtype = np.dtype([(c, object if c == "unit" else _PANEL_COLUMNS[c][0]) for c in cols])
         codes = {}  # unit -> its number, in order of first appearance
         chunks = []
-        for names, lengths, *columns in _panel_chunks(path, cols, lines, line_no):
+        for names, lengths, *columns in _chunks(path, lines, line_no,
+                                                 lambda chunk: _plain_columns(chunk, dtype),
+                                                 lambda rows: _row_columns(path, cols, rows)):
             code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
             chunks.append((np.repeat(code, lengths), *columns))
     units = sorted(codes)
@@ -177,54 +210,43 @@ def parse_panel_csv(path) -> PanelDataset:
         return PanelDataset()
     unit, year, *values = map(np.concatenate, zip(*chunks))
     unit = np.argsort([codes[u] for u in units])[unit]  # the rank of each row's unit
-    order = np.lexsort((year, unit))
-    repeats = order[1:][(np.diff(unit[order]) == 0) & (np.diff(year[order]) == 0)]
-    if len(repeats):
-        first = repeats.min()
-        raise DataError(f"{path}: duplicate record for {units[unit[first]]} {year[first]}")
-    columns = (np.searchsorted(unit[order], np.arange(len(units) + 1)), year[order],
-               *(column[order] for column in values))
+    step = np.diff(unit)
+    if not ((step > 0) | ((step == 0) & (np.diff(year) > 0))).all():  # not in key order yet
+        order = np.lexsort((year, unit))
+        repeats = order[1:][(np.diff(unit[order]) == 0) & (np.diff(year[order]) == 0)]
+        if len(repeats):
+            first = repeats.min()
+            raise DataError(f"{path}: duplicate record for {units[unit[first]]} {year[first]}")
+        unit, year, *values = (column[order] for column in (unit, year, *values))
+    columns = (np.searchsorted(unit, np.arange(len(units) + 1)), year, *values)
     return PanelDataset.from_columns(units, *map(array, "qqdqdq", (c.tobytes() for c in columns)))
 
 
-def _panel_chunks(path: Path, cols: list, lines, line_no: int):
-    """The columns of ``lines``, whose first is line ``line_no + 1``, one tuple a chunk.
-
-    Each is ``(names, lengths, year, rate, population, se, deaths)``: the
-    units as runs (``names[i]`` ``lengths[i]`` times), then int64 and float64
-    arrays, a NaN se or a -1 deaths where absent.
+def _chunks(path: Path, lines, line_no: int, plain, row_parser):
+    """``plain(chunk)`` of each ``CHUNK_LINES``-line chunk of ``lines``, whose first is line
+    ``line_no + 1``, until a chunk is not plain (None); then ``row_parser`` of the ``(line
+    number, row)`` pairs of the csv rows from that chunk to the end of the file.
     """
-    dtype = np.dtype([(c, object if c == "unit" else _PANEL_COLUMNS[c][0]) for c in cols])
     while chunk := list(islice(lines, CHUNK_LINES)):
-        columns = _plain_columns(chunk, dtype)
-        if columns is None:
-            rows = list(_row_entries(path, cols, _csv_rows(path, chain(chunk, lines), line_no)))
-            names, *values = zip(*rows) if rows else [()] * 6
-            yield names, 1, *map(np.array, values, (k for k, _, _ in _PANEL_COLUMNS.values()))
+        parsed = plain(chunk)
+        if parsed is None:
+            yield row_parser(_csv_rows(path, chain(chunk, lines), line_no))
             return
-        yield columns
+        yield parsed
         line_no += len(chunk)
 
 
 def _plain_columns(chunk: list, dtype):
     """The columns of a plain chunk of panel lines, read by numpy; None if it is not plain.
 
-    A chunk is plain when it holds only ``_PLAIN_BYTES``, a carriage return
-    only before a newline, no empty line and no line over the csv field size
-    limit, and numpy takes every value and every value is in range
-    (``model.values_in_range``) with a nonempty unit. numpy then reads each
-    number as int() or float() would, and splits each line where csv would.
+    They are ``(names, lengths, year, rate, population, se, deaths)``: the
+    units as runs (``names[i]`` ``lengths[i]`` times), then int64 and float64
+    arrays, a NaN se or a -1 deaths where absent. The chunk is not plain,
+    either, unless every value is in range (``model.values_in_range``) and
+    every unit nonempty.
     """
-    text = "".join(chunk)
-    lf = text.replace("\r\n", "\n")
-    if (not text.isascii() or text.encode("ascii").translate(None, _PLAIN_BYTES)
-            or "\r" in lf or lf.startswith("\n") or "\n\n" in lf
-            or max(map(len, chunk)) > csv.field_size_limit()):
-        return None
-    try:
-        table = np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                           ndmin=1)
-    except ValueError:
+    table = _plain_table(chunk, dtype)
+    if table is None:
         return None
     raw = table["unit"]
     heads = np.flatnonzero(np.concatenate([[True], raw[1:] != raw[:-1]]))
@@ -240,16 +262,17 @@ def _plain_columns(chunk: list, dtype):
             np.full(len(raw), -1) if deaths is None else deaths)
 
 
-def _row_entries(path: Path, cols: list, rows):
-    """The entries of ``rows``, ``(line number, row)`` pairs, parsed and checked one row at a time.
+def _row_columns(path: Path, cols: list, rows) -> tuple:
+    """The columns of ``rows``, ``(line number, row)`` pairs, parsed and checked one row at a time.
 
-    Each is ``(unit, year, rate, population, se, deaths)``. A blank row is
+    They are ``_plain_columns``' with runs of one row. A blank row is
     skipped; a blank se is None (NaN in its float64 column), a blank deaths -1.
     """
     idx = {c: i for i, c in enumerate(cols)}
     width = len(cols)
     i_unit, i_year, i_rate, i_pop = (idx[c] for c in PANEL_REQUIRED)
     i_se, i_deaths = idx.get("se"), idx.get("deaths")
+    entries = []
     for line_no, row in rows:
         if len(row) != width:
             if not row or all(not cell.strip() for cell in row):
@@ -269,32 +292,66 @@ def _row_entries(path: Path, cols: list, rows):
         except ValueError:
             raise _conversion_error(path, line_no, row, idx) from None
         try:
-            if se is None and deaths is not None:
-                se = poisson_rate_se(deaths, population)
             check_record_values(unit, year, rate, population, se, deaths)
         except DataError as exc:
             raise ParseError(path, line_no, str(exc)) from None
-        yield unit, year, rate, population, se, -1 if deaths is None else deaths
+        if se is None and deaths is not None:  # the counts are in range, so the se is too
+            se = poisson_rate_se(deaths, population)
+        entries.append((unit, year, rate, population, se, -1 if deaths is None else deaths))
+    names, *values = zip(*entries) if entries else [()] * 6
+    return names, 1, *map(np.array, values, (k for k, _, _ in _PANEL_COLUMNS.values()))
 
 
 def parse_adjacency_csv(path) -> AdjacencyGraph:
-    """Parse the two-column undirected edge list (header unit_a,unit_b)."""
+    """Parse the two-column undirected edge list (header unit_a,unit_b).
+
+    Cells are stripped, blank rows skipped, and each edge put in canonical
+    order (``model.canonical_edge``), so an edge given twice, in either
+    orientation, is one edge. A row with other than two nonempty fields or a
+    self-edge aborts with its file line. The file is read in chunks of
+    ``CHUNK_LINES`` lines, as the panel is: a plain chunk (``_plain_edges``)
+    column-wise by ``np.loadtxt`` and checked on whole arrays, and from the
+    first chunk that is not plain to the end of the file, row by row by the
+    csv module, the only route that raises parse errors.
+    """
     path = Path(path)
     with _csv_file(path, "adjacency") as (cols, lines, line_no):
         if cols != ["unit_a", "unit_b"]:
             raise SchemaError(f"{path}: header must be exactly unit_a,unit_b")
-        edges = set()
-        for line_no, row in _csv_rows(path, lines, line_no):
-            fields = [cell.strip() for cell in row]
-            if not any(fields):
-                continue
-            if len(fields) != 2 or not all(fields):
-                raise ParseError(path, line_no, "expected two nonempty fields")
-            try:
-                edges.add(canonical_edge(*fields))
-            except DataError as exc:  # a self-edge
-                raise ParseError(path, line_no, str(exc)) from None
-    return AdjacencyGraph(frozenset(edges))
+        chunks = _chunks(path, lines, line_no, _plain_edges, lambda rows: _row_edges(path, rows))
+        return AdjacencyGraph(frozenset(chain.from_iterable(chunks)))
+
+
+_EDGE_DTYPE = np.dtype([("a", object), ("b", object)])
+_strip = np.frompyfunc(str.strip, 1, 1)
+
+
+def _plain_edges(chunk: list):
+    """The canonical edges of a plain chunk of adjacency lines, read by numpy; None if it is not
+    plain, or if it holds a blank cell or a self-edge."""
+    table = _plain_table(chunk, _EDGE_DTYPE)
+    if table is None:
+        return None
+    a, b = _strip(table["a"]), _strip(table["b"])
+    if not (a.astype(bool).all() and b.astype(bool).all()) or (a == b).any():
+        return None
+    lower = a < b
+    return zip(np.where(lower, a, b).tolist(), np.where(lower, b, a).tolist())
+
+
+def _row_edges(path: Path, rows):
+    """The canonical edges of ``rows``, ``(line number, row)`` pairs, checked one row at a time."""
+    for line_no, row in rows:
+        fields = [cell.strip() for cell in row]
+        if not any(fields):
+            continue
+        if len(fields) != 2 or not all(fields):
+            raise ParseError(path, line_no, "expected two nonempty fields")
+        try:
+            edge = canonical_edge(*fields)
+        except DataError as exc:  # a self-edge
+            raise ParseError(path, line_no, str(exc)) from None
+        yield edge
 
 
 # --- configuration -----------------------------------------------------------

@@ -167,8 +167,12 @@ class PanelDataset:
 def canonical_edge(a: str, b: str) -> tuple:
     """The undirected edge between ``a`` and ``b`` as a sorted pair; DataError on a self-edge."""
     if a == b:
-        raise DataError(f"self-edge on {a!r}")
+        raise _self_edge(a)
     return (a, b) if a < b else (b, a)
+
+
+def _self_edge(unit: str) -> DataError:
+    return DataError(f"self-edge on {unit!r}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +188,9 @@ class AdjacencyGraph:
 
     def __post_init__(self):
         adjacent = defaultdict(list)
-        for edge in self.edges:
-            a, b = canonical_edge(*edge)
+        for a, b in self.edges:
+            if a == b:
+                raise _self_edge(a)
             adjacent[a].append(b)
             adjacent[b].append(a)
         object.__setattr__(self, "_neighbors", adjacent)

@@ -4,11 +4,13 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1255,6 +1257,33 @@ def test_adjacency_parse_errors_exit_3_with_one_line(tmp_path, text, expected):
     assert not out.exists()
 
 
+# Two plain chunks of two edges each at CHUNK_LINES = 2, on lines 2-5.
+_TWO_PLAIN_CHUNKS = "unit_a,unit_b\nIowa,Ohio\nKansas,Iowa\nOhio,Kansas\nIowa,Missouri\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("Ohio,Ohio", "self-edge on 'Ohio'"),
+        ("Ohio", "expected two nonempty fields"),
+        (" ,Ohio", "expected two nonempty fields"),
+    ],
+    ids=["self-edge", "one field", "blank field"],
+)
+def test_an_adjacency_error_after_plain_chunks_names_its_line(tmp_path, monkeypatch, row,
+                                                               message):
+    # The bad row is the second line of the third chunk; numpy read the two before it.
+    monkeypatch.setattr(dio, "CHUNK_LINES", 2)
+    path = tmp_path / "adj.csv"
+    path.write_text(f"{_TWO_PLAIN_CHUNKS}Kansas,Missouri\n{row}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_captured(
+        ["placebo", "--config", _PAPER, "--adjacency", str(path), "--out-dir", str(out)]
+    )
+    assert (code, stdout, stderr) == (3, "", f"Parse: {path}:7: {message}\n")
+    assert not out.exists()
+
+
 _ADJACENCY_UNITS = ("Iowa", "New York", "b", "B", "Ohio")
 # Ways a line may write the edge {0}-{1}: either orientation, padded or not.
 _EDGE_LINES = ("{0},{1}", "{1},{0}", " {0} , {1} ", "  {1},{0}  ", "{0}  ,{1} ", " {1}, {0}")
@@ -1290,6 +1319,83 @@ def test_adjacency_file_layouts_parse_to_the_graph_of_their_pairs(tmp_path_facto
 def test_a_graph_built_with_a_self_edge_raises():
     with pytest.raises(DataError, match="^self-edge on 'a'$"):
         AdjacencyGraph(frozenset({("b", "c"), ("a", "a")}))
+
+
+# --- outputs depend on the inputs' content, not their file layout ---------------
+
+# A 10-unit x 23-year panel whose rates rise with the unit's number, so U05's
+# neighbours on the path U00-...-U09 (two steps each way) lie on both sides of
+# it; U09 misses 2001, a MissingData exclusion of the placebo study.
+_LAYOUT_COLUMNS = ("unit", "year", "rate", "se", "population")
+_LAYOUT_ROWS = tuple(
+    {"unit": f"U{i:02d}", "year": str(year), "rate": repr(4.0 + i + 0.1 * ((i * year) % 7)),
+     "se": repr(0.2 + 0.01 * ((i + year) % 5)), "population": str(100_000 + 977 * i + year)}
+    for i in range(10) for year in range(1994, 2017) if (i, year) != (9, 2001)
+)
+_LAYOUT_EDGES = tuple((f"U{i:02d}", f"U{j:02d}") for i in range(10) for j in (i + 1, i + 2)
+                      if j < 10)
+_LAYOUT_DESIGN = ["--prestudy", "1994-1998", "--before", "1999-2007", "--after", "2008-2016"]
+_LAYOUT_COMMANDS = {
+    "analyze": ["analyze", "--treated", "U05", "--candidates", "neighbors", "--split-year",
+                "2002"],
+    "diagnose": ["diagnose", "--treated", "U05", "--candidates", "neighbors", "--split-year",
+                 "2002", "--emit-plots"],
+    "placebo": ["placebo", "--rank-unit", "U05", "--emit-plots"],
+}
+
+
+def _layout_outputs(directory, panel_text, adjacency_text):
+    """``{command: {file: bytes}}`` of each layout command run on these input texts."""
+    directory.mkdir(exist_ok=True)
+    panel, adjacency = directory / "panel.csv", directory / "adjacency.csv"
+    panel.write_bytes(panel_text.encode("utf-8"))
+    adjacency.write_bytes(adjacency_text.encode("utf-8"))
+    outputs = {}
+    for command, argv in _LAYOUT_COMMANDS.items():
+        out = directory / command
+        shutil.rmtree(out, ignore_errors=True)
+        code, _, stderr = run_captured([*argv, "--panel", str(panel), "--adjacency",
+                                        str(adjacency), *_LAYOUT_DESIGN, "--out-dir", str(out)])
+        assert (code, stderr) == (0, "")
+        outputs[command] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def canonical_layout_outputs(tmp_path_factory):
+    panel = [",".join(_LAYOUT_COLUMNS)] + [",".join(r.values()) for r in _LAYOUT_ROWS]
+    adjacency = ["unit_a,unit_b"] + [",".join(edge) for edge in _LAYOUT_EDGES]
+    return _layout_outputs(tmp_path_factory.mktemp("canonical"), "\n".join(panel) + "\n",
+                           "\n".join(adjacency) + "\n")
+
+
+@st.composite
+def _input_layouts(draw):
+    """The layout panel and adjacency texts in a random layout: row, column and edge order,
+    edge orientation and repeats, line ends, a byte-order mark, one quoted unit cell."""
+    cols = draw(st.permutations(_LAYOUT_COLUMNS))
+    rows = draw(st.permutations(_LAYOUT_ROWS))
+    quoted = draw(st.integers(0, len(rows)))  # len(rows): no quoted cell
+    lines = [",".join(cols)]
+    for i, row in enumerate(rows):
+        cells = {**row, "unit": f'"{row["unit"]}"'} if i == quoted else row
+        lines.append(",".join(cells[c] for c in cols))
+    repeats = draw(st.lists(st.sampled_from(_LAYOUT_EDGES), max_size=3))
+    edges = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in draw(st.permutations(_LAYOUT_EDGES + tuple(repeats)))]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    adjacency = ["unit_a,unit_b"] + [",".join(edge) for edge in edges]
+    return bom + eol.join(lines) + eol, bom + eol.join(adjacency) + eol
+
+
+@settings(max_examples=25, deadline=None)
+@given(layout=_input_layouts(), chunk_lines=st.integers(1, 64))
+def test_outputs_do_not_depend_on_the_input_layout(tmp_path_factory, canonical_layout_outputs,
+                                                   layout, chunk_lines):
+    directory = tmp_path_factory.getbasetemp() / "input_layout"  # rewritten by each example
+    with mock.patch.object(dio, "CHUNK_LINES", chunk_lines):
+        assert _layout_outputs(directory, *layout) == canonical_layout_outputs
 
 
 def _analyze_panel(tmp_path, text):
@@ -1328,9 +1434,9 @@ _HUGE = 10**400
     "header, row, message",
     [
         ("unit,year,rate,population,deaths", f"a,2000,1.0,100,{_HUGE}",
-         "deaths must be at most 2**53"),
+         "a 2000: deaths must be at most 2**53"),
         ("unit,year,rate,population,deaths", f"a,2000,1.0,{_HUGE},5",
-         "population must be at most 2**53"),
+         "a 2000: population must be at most 2**53"),
         ("unit,year,rate,population", f"a,2000,1.0,{_HUGE}",
          "a 2000: population must be at most 2**53"),
         ("unit,year,rate,population,se,deaths", f"a,2000,1.0,100,0.5,{2**53 + 1}",
@@ -1410,6 +1516,17 @@ def test_a_row_breaking_two_rules_names_the_first(tmp_path, values, cells, messa
     assert str(caught.value) == f"a 2000: {message}"
     text = f"unit,year,rate,population,se,deaths\na,2000,{cells}\n"  # a plain line
     assert _analyze_panel(tmp_path, text) == (3, "", f"Parse: {{path}}:2: a 2000: {message}\n")
+
+
+@pytest.mark.parametrize("unit", ["a", '"a"'], ids=["plain line", "quoted line"])
+def test_a_row_whose_se_is_derived_names_its_first_broken_rule(tmp_path, unit):
+    # With deaths and no se column, the range rules run before the se is derived.
+    with pytest.raises(DataError, match=r"^a 2000: rate must be finite and >= 0$"):
+        PanelRecord("a", 2000, math.nan, 0, None, 5)
+    text = f"unit,year,rate,population,deaths\n{unit},2000,nan,0,5\n"
+    assert _analyze_panel(tmp_path, text) == (
+        3, "", "Parse: {path}:2: a 2000: rate must be finite and >= 0\n"
+    )
 
 
 # --- values that overflow float64 ---------------------------------------------

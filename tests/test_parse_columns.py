@@ -133,6 +133,43 @@ def test_each_routing_trigger_gives_the_oracles_outcome(tmp_path, capfd, text, k
     assert capfd.readouterr() == ("", "")
 
 
+# Six rows, two chunks of three at chunk_lines=3, and a unit length that makes
+# a line of exactly the csv field size limit, newline included.
+_SIX = [f"u{i},2000,{i}.5,100\n" for i in range(6)]
+_FIT = csv.field_size_limit() - len(",2000,9.5,100\n")
+
+
+@pytest.mark.parametrize(
+    "prefix, rows, numpy_chunks",
+    [
+        ("", _SIX[:4] + ["u4,2000,4.5,100\r"] + _SIX[5:], 1),
+        ("", _SIX[:4] + ["\n"] + _SIX[4:], 1),
+        ("", _SIX[:4] + ["\r\n"] + _SIX[4:], 1),
+        ("", _SIX[:5] + ["é5,2000,5.5,100\n"], 1),
+        ("", _SIX[:4] + ["u" * _FIT + ",2000,9.5,100\n"] + _SIX[5:], 2),
+        ("", _SIX[:4] + ["u" * (_FIT + 1) + ",2000,9.5,100\n"] + _SIX[5:], 1),
+        ("", _SIX[:5] + [_SIX[5].rstrip("\n")], 2),
+        ("\ufeff", _SIX, 2),
+    ],
+    ids=["lone CR mid-chunk", "empty line", "empty CRLF line", "non-ASCII on a chunk's last line",
+         "line of the field size limit", "line one over the limit", "no final newline",
+         "byte-order mark"],
+)
+def test_each_plain_gate_edge_routes_its_chunk_and_gives_the_oracles_outcome(
+    tmp_path, loadtxt_calls, prefix, rows, numpy_chunks
+):
+    # The first chunk is plain; numpy_chunks says whether the second one is too.
+    text = "unit,year,rate,population\n" + "".join(rows)
+    path, oracle_path = tmp_path / "panel.csv", tmp_path / "oracle.csv"
+    path.write_text(prefix + text, encoding="utf-8", newline="")
+    oracle_path.write_text(text, encoding="utf-8", newline="")  # the oracle reads no BOM
+    with mock.patch.object(dio, "CHUNK_LINES", 3):
+        got = _outcome(parse_panel_csv, path)
+    assert got == _outcome(oracle_parse_panel_csv, oracle_path)
+    assert got[0] == "panel" and len(got[1]) == 6
+    assert len(loadtxt_calls) == numpy_chunks
+
+
 # --- (c) chunk boundaries -------------------------------------------------------------
 
 

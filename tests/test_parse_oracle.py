@@ -1,12 +1,15 @@
 """parse_panel_csv against the record-building parser it replaced.
 
-The oracle below is that parser, kept as it was: it builds one PanelRecord
-per row (whose construction runs the range checks) and a PanelDataset
-from the records. The tuple-row parser must give an equal panel, or the
-same error: class, message and line number.
+The oracle below is that parser, kept as it was but for one change: a row
+with deaths and no se gets its Poisson se derived after its range checks,
+not before, so an out-of-range count is named as any other rule is. It
+builds one PanelRecord per row (whose construction runs the range checks)
+and a PanelDataset from the records. The tuple-row parser must give an
+equal panel, or the same error: class, message and line number.
 """
 
 import csv
+import dataclasses
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -69,16 +72,15 @@ def oracle_parse_panel_csv(path):
             if "deaths" in idx and row[idx["deaths"]].strip():
                 deaths = _parse_int(row[idx["deaths"]], path, line_no, "deaths")
             try:
-                if se is None and deaths is not None:
-                    se = poisson_rate_se(deaths, population)
-                records.append(
-                    PanelRecord(
-                        unit_id=row[idx["unit"]].strip(), year=year, rate=rate,
-                        population=population, se=se, deaths=deaths,
-                    )
+                record = PanelRecord(
+                    unit_id=row[idx["unit"]].strip(), year=year, rate=rate,
+                    population=population, se=se, deaths=deaths,
                 )
             except DataError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
+            if se is None and deaths is not None:  # derived once the row's values are in range
+                record = dataclasses.replace(record, se=poisson_rate_se(deaths, population))
+            records.append(record)
     try:
         return PanelDataset(records), records
     except DataError as exc:

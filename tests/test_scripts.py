@@ -44,6 +44,31 @@ def test_mc_script_prints_one_row_per_shipped_scenario(monkeypatch, capsys):
     assert all(len(row.split()) >= 5 for row in rows)
 
 
+def _bench_records(source, setup_s):
+    """``{workload: {seed: record}}`` of one workload, as ``bench/run.py`` records them: seed
+    ``i + 1`` measured ``setup_s[i]``, and the same figures on the other metrics."""
+    return {"analyze_county": {
+        seed: {"workload": "analyze_county", "seconds": 20,
+               "provenance": {"seed": seed, "source_sha256": source, "git": None,
+                              "python": "3.11", "numpy": "2.4", "nproc": 2},
+               "end_to_end": {"setup_s": s, "call_s_p50": 0.2, "items_per_s": 5.0,
+                              "peak_rss_mb": 50.0}}
+        for seed, s in enumerate(setup_s, start=1)}}
+
+
+def test_trajectory_reports_setup_s_with_its_spread_and_pairs_won():
+    module = _load(ROOT / "scripts" / "bench_trajectory.py")
+    trajectory = module.build(1, _bench_records("change", [0.20, 0.18, 0.25]),
+                              _bench_records("parent", [0.21, 0.19, 0.22]))
+    assert trajectory["units"]["setup_s"] == "reference s"
+    entry = trajectory["workloads"]["analyze_county"]
+    assert entry["setup_s"] == {"median": 0.20, "q1": pytest.approx(0.19),
+                                "q3": pytest.approx(0.225), "runs": 3}
+    assert entry["parent"]["setup_s"]["median"] == 0.21
+    assert entry["pairs_won"]["setup_s"] == "2/3"  # seed 3 lost; ties would win nothing
+    assert entry["pairs_won"]["call_s_p50"] == "0/3"
+
+
 def test_bundled_panel_is_rebuilt_byte_for_byte(tmp_path, capsys):
     # The bundled panel's bytes trace back to the reconstruction in scripts/.
     module = _load(ROOT / "scripts" / "rebuild_region_data.py")
