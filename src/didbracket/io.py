@@ -210,8 +210,9 @@ def parse_panel_csv(path) -> PanelDataset:
         return PanelDataset()
     unit, year, *values = map(np.concatenate, zip(*chunks))
     unit = np.argsort([codes[u] for u in units])[unit]  # the rank of each row's unit
-    step = np.diff(unit)
-    if not ((step > 0) | ((step == 0) & (np.diff(year) > 0))).all():  # not in key order yet
+    # Compared, not differenced: a difference of two int64 years can wrap.
+    later = (unit[1:] > unit[:-1]) | ((unit[1:] == unit[:-1]) & (year[1:] > year[:-1]))
+    if not later.all():  # the rows are not yet in strict (unit, year) order
         order = np.lexsort((year, unit))
         repeats = order[1:][(np.diff(unit[order]) == 0) & (np.diff(year[order]) == 0)]
         if len(repeats):

@@ -202,6 +202,15 @@ def test_the_row_parser_takes_over_at_the_first_irregular_chunk(tmp_path, loadtx
     assert loadtxt_calls == [[f"{row}\n" for row in rows[:3]]]
 
 
+def test_years_at_both_ends_of_int64_are_put_in_order(tmp_path):
+    # Their difference wraps in int64, so the order check must compare the years.
+    path = tmp_path / "panel.csv"
+    path.write_text(f"unit,year,rate,population\na,{2**63 - 1},1.0,100\na,{-(2**63)},2.0,100\n",
+                    encoding="utf-8")
+    panel = _same_as_oracle(path)
+    assert [record.year for record in panel[1]] == [-(2**63), 2**63 - 1]
+
+
 # --- (d) plain files take the column-wise route --------------------------------------
 
 
